@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 
@@ -50,16 +49,12 @@ from repro.leo.constellation import Constellation
 from repro.leo.dish import dish_for_plan, DishPlan
 from repro.leo.gateway import GatewayNetwork
 from repro.obs.manifest import RunManifest
-from repro.obs.recorder import ObsRecorder, get_recorder
+from repro.obs.recorder import get_recorder
 from repro.resilience import (
-    ATTEMPT_BUCKETS,
-    CampaignAborted,
     CheckpointCorruptError,
     DIGEST_KEY,
-    FailureClass,
     ResilienceConfig,
     ResilienceReport,
-    classify_exception,
     embed_digest,
     graceful_shutdown,
     quarantine,
@@ -146,16 +141,16 @@ class CampaignConfig:
     #: Optional deterministic fault schedule (see :mod:`repro.faults`).
     fault_schedule: FaultSchedule | None = None
     #: Worker processes for drive execution.  ``1`` runs drives serially
-    #: in-process; ``N > 1`` shards drives across a process pool (see
-    #: :mod:`repro.core.parallel_campaign`).  Execution-only knob: it is
-    #: excluded from :meth:`fingerprint` because any worker count
+    #: in-process; ``N > 1`` shards drives across supervised forked
+    #: workers (see :mod:`repro.resilience.pool`).  Execution-only knob:
+    #: it is excluded from :meth:`fingerprint` because any worker count
     #: produces byte-identical output.
     workers: int = 1
-    #: Self-healing execution (per-drive retries; watchdog for parallel
-    #: runs — see :mod:`repro.resilience`).  ``None`` keeps the bare
-    #: fail-once behaviour.  Execution-only like ``workers``: excluded
-    #: from :meth:`fingerprint` because retried and watchdog-healed runs
-    #: are byte-identical to untouched ones.
+    #: Self-healing execution (per-drive retries; watchdog deadline for
+    #: forked workers — see :mod:`repro.resilience`).  ``None`` runs one
+    #: attempt per drive with no deadline.  Execution-only like
+    #: ``workers``: excluded from :meth:`fingerprint` because retried and
+    #: watchdog-healed runs are byte-identical to untouched ones.
     resilience: ResilienceConfig | None = None
     #: How ``checkpoint_path`` is laid out: ``"json"`` keeps the legacy
     #: monolithic checkpoint file; ``"jsonl"`` makes it a
@@ -442,7 +437,7 @@ class Campaign:
         #: Per-drive wall-clock rows for the manifest.
         self._drive_rows: list[dict] = []
         #: Which attempt of the current drive is running (0-based).
-        #: Maintained by the retry machinery; fault hooks and tests key
+        #: Maintained by the drive pool; fault hooks and tests key
         #: attempt-dependent behaviour off it.
         self.current_attempt = 0
         #: What the self-healing machinery did this run (see
@@ -450,7 +445,7 @@ class Campaign:
         self._resilience = ResilienceReport()
         #: Sharded artifact store when ``artifact_format == "jsonl"``
         #: and a checkpoint path is in play; set by :meth:`run` (and by
-        #: the parallel executors in their workers).  ``None`` keeps the
+        #: the drive pool in its forked workers).  ``None`` keeps the
         #: legacy monolithic checkpoint writer.
         self._shard_store: ShardStore | None = None
         #: Content-addressed drive cache when ``cache_dir`` is set.
@@ -478,10 +473,12 @@ class Campaign:
         A drive that raises is captured as a :class:`DriveFailure` in
         :attr:`report` and the campaign continues with the next drive.
 
-        With ``config.workers > 1`` drives are sharded across a process
-        pool (:mod:`repro.core.parallel_campaign`) and merged in drive
-        order; dataset, checkpoint, and report are byte-identical to a
-        serial run, whatever the worker count.
+        Drives run through :func:`repro.resilience.pool.run_drives`: in
+        this process at ``config.workers == 1``, across supervised
+        forked workers above that, with ``config.resilience`` setting
+        retries and deadlines.  Results merge in drive order, so
+        dataset, checkpoint, report, and deterministic manifest are
+        byte-identical whatever the worker count.
 
         With an enabled recorder, a :class:`RunManifest` (config
         fingerprint, versions, per-drive timings, metric snapshot) is
@@ -523,33 +520,11 @@ class Campaign:
                 # drives are durably committed before execution starts.
                 self._commit_progress(drive_payloads)
 
-            if cfg.workers > 1:
-                if cfg.resilience is not None:
-                    from repro.resilience.pool import run_drives_supervised
+            from repro.resilience.pool import run_drives
 
-                    failures = run_drives_supervised(
-                        self,
-                        routes,
-                        drive_payloads,
-                        checkpoint_path,
-                        fingerprint,
-                        shutdown=shutdown,
-                    )
-                else:
-                    from repro.core.parallel_campaign import run_drives_parallel
-
-                    failures = run_drives_parallel(
-                        self,
-                        routes,
-                        drive_payloads,
-                        checkpoint_path,
-                        fingerprint,
-                        shutdown=shutdown,
-                    )
-            else:
-                failures = self._run_drives_serial(
-                    routes, drive_payloads, checkpoint_path, fingerprint, shutdown
-                )
+            failures = run_drives(
+                self, routes, drive_payloads, checkpoint_path, shutdown
+            )
 
             dataset = self._assemble(
                 routes, drive_payloads, failures, resumed, checkpoint_path
@@ -799,157 +774,13 @@ class Campaign:
         obs.counter("resilience.drives_salvaged").inc(len(drive_payloads))
         return drive_payloads
 
-    def _run_drives_serial(
-        self,
-        routes: list[Route],
-        drive_payloads: dict[int, dict],
-        checkpoint_path: str | os.PathLike | None,
-        fingerprint: str,
-        shutdown=None,
-    ) -> list[DriveFailure]:
-        """Run every not-yet-completed drive in this process, in order."""
-        obs = self.obs
-        failures: list[DriveFailure] = []
-        for drive_id, route in enumerate(routes):
-            if drive_id in drive_payloads:
-                continue
-            if self.config.resilience is not None:
-                payload, failure = self._attempt_drive_with_retry(
-                    drive_id, route
-                )
-                if payload is not None:
-                    drive_payloads[drive_id] = payload
-                else:
-                    failures.append(failure)
-                    obs.counter("campaign.drives_failed").inc()
-            else:
-                started = time.perf_counter()
-                scratch = ObsRecorder() if obs.enabled else obs
-                try:
-                    with obs.span(
-                        "campaign.drive", drive=drive_id, route=route.name
-                    ):
-                        previous_obs, self.obs = self.obs, scratch
-                        try:
-                            payload = self._simulate_drive(drive_id, route)
-                        finally:
-                            self.obs = previous_obs
-                except Exception as exc:  # isolation is the point
-                    failures.append(
-                        DriveFailure.from_exception(drive_id, route.name, exc)
-                    )
-                    obs.counter("campaign.drives_failed").inc()
-                else:
-                    if obs.enabled:
-                        # The per-drive metric delta rides in the payload
-                        # (and hence the checkpoint), so a resumed drive
-                        # can restore the metrics it would have produced.
-                        payload["metrics"] = scratch.registry.snapshot()
-                        obs.registry.merge(payload["metrics"])
-                    drive_payloads[drive_id] = payload
-                    self._note_drive_done(
-                        drive_id,
-                        route.name,
-                        time.perf_counter() - started,
-                        len(payload["records"]),
-                        payload=payload,
-                    )
-            if checkpoint_path is not None:
-                self._commit_progress(drive_payloads)
-            if shutdown is not None and shutdown.requested:
-                raise CampaignAborted(
-                    f"shutdown requested (signal {shutdown.signum}); "
-                    f"{len(drive_payloads)} drives checkpointed"
-                )
-        return failures
-
-    def _attempt_drive_with_retry(
-        self, drive_id: int, route: Route
-    ) -> tuple[dict | None, DriveFailure | None]:
-        """One drive under the retry policy: ``(payload, None)`` on
-        success, ``(None, failure)`` once the budget is spent.
-
-        Each attempt runs under a scratch recorder; only the successful
-        attempt's metrics merge into the campaign registry (in drive
-        order, exactly like the parallel pool), so abandoned attempts
-        leave no trace in deterministic artifacts.  The drive itself is
-        a pure function of ``(config, drive_id)``, so a retried drive's
-        payload is byte-identical to an untouched run's.
-        """
-        policy = self.config.resilience.retry
-        obs = self.obs
-        jitter_rng = (
-            self.rng.get(f"resilience.retry.{drive_id}") if policy.jitter else None
-        )
-        attempt = 0
-        while True:
-            scratch = ObsRecorder() if obs.enabled else self.obs
-            previous_obs, self.obs = self.obs, scratch
-            self.current_attempt = attempt
-            started = time.perf_counter()
-            try:
-                payload = self._simulate_drive(drive_id, route)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                self.obs = previous_obs
-                if (
-                    classify_exception(exc) is FailureClass.TRANSIENT
-                    and attempt + 1 < policy.max_attempts
-                ):
-                    attempt += 1
-                    self._resilience.retries += 1
-                    obs.counter(
-                        "resilience.retries", kind=type(exc).__name__
-                    ).inc()
-                    delay = policy.delay_s(attempt, jitter_rng)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                obs.histogram(
-                    "resilience.drive_attempts", buckets=ATTEMPT_BUCKETS
-                ).observe(attempt + 1)
-                return None, DriveFailure.from_exception(
-                    drive_id, route.name, exc
-                )
-            else:
-                self.obs = previous_obs
-                elapsed = time.perf_counter() - started
-                if obs.enabled:
-                    payload["metrics"] = scratch.registry.snapshot()
-                    obs.registry.merge(payload["metrics"])
-                    obs.tracer.record(
-                        "campaign.drive",
-                        elapsed,
-                        drive=drive_id,
-                        route=route.name,
-                    )
-                obs.histogram(
-                    "resilience.drive_attempts", buckets=ATTEMPT_BUCKETS
-                ).observe(attempt + 1)
-                self._note_drive_done(
-                    drive_id,
-                    route.name,
-                    elapsed,
-                    len(payload["records"]),
-                    payload=payload,
-                )
-                return payload, None
-
     def _note_drive_done(
-        self,
-        drive_id: int,
-        route_name: str,
-        elapsed: float,
-        tests: int,
-        payload: dict | None = None,
+        self, drive_id: int, route_name: str, elapsed: float, tests: int
     ) -> None:
-        """Per-drive completion bookkeeping, shared by serial and parallel
-        execution so both produce the same counters, histogram, gauges,
-        and manifest rows.  ``payload`` (when the caller has it) feeds
-        the content-addressed cache: only freshly *computed* drives are
-        written back — resumed and cache-restored drives never are."""
+        """Per-drive completion bookkeeping for a freshly computed drive,
+        run by the drive-order merge so every worker count produces the
+        same counters, histogram, gauges, and manifest rows."""
         obs = self.obs
-        if payload is not None:
-            self._cache_put(drive_id, payload)
         obs.counter("campaign.drives_completed").inc()
         obs.counter("campaign.tests").inc(tests)
         obs.histogram(

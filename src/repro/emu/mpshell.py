@@ -11,6 +11,7 @@ multi-homed host the paper runs MPTCP experiments on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,7 +85,7 @@ class TraceLink:
     def _schedule_next(self) -> None:
         target_s = self._base_s + self.opportunities_ms[self._index] / 1000.0
         delay = max(0.0, target_s - self.sim.now)
-        self.sim.schedule(delay, self._on_opportunity)
+        self.sim.post_at(self.sim.now + delay, self._on_opportunity)
 
     def _on_opportunity(self) -> None:
         budget = self.mtu_bytes
@@ -97,8 +98,8 @@ class TraceLink:
             if self._draw_loss():
                 self.random_losses += 1
             else:
-                self.sim.schedule(
-                    self.delay_s, lambda p=packet: self._deliver(p)
+                self.sim.post_at(
+                    self.sim.now + self.delay_s, partial(self._deliver, packet)
                 )
         self._index += 1
         if self._index >= len(self.opportunities_ms):

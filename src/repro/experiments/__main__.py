@@ -56,8 +56,9 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="watchdog deadline per drive; with --workers > 1 a drive "
-        "exceeding it is killed and requeued on another worker",
+        help="watchdog deadline per drive attempt; with --workers > 1 a "
+        "drive exceeding it is killed and requeued on another worker "
+        "(a serial run cannot preempt itself and ignores it)",
     )
     parser.add_argument(
         "--cache-dir",

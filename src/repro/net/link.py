@@ -11,6 +11,7 @@ channel substrates emit.
 from __future__ import annotations
 
 import bisect
+from functools import partial
 from typing import Callable, Protocol
 
 import numpy as np
@@ -57,23 +58,42 @@ class ConditionsSchedule:
         self._times = [s.time_s for s in self.samples]
         self._t0 = self._times[0]
         self._span = max(self._times[-1] - self._t0 + 1.0, 1.0)
+        # Per-sample answers, computed once: a link asks up to four
+        # questions per packet.
+        self._rates = [s.capacity_mbps(downlink) * 1e6 for s in self.samples]
+        self._delays = [s.rtt_ms * rtt_split / 1000.0 for s in self.samples]
+        self._losses = [s.loss_rate for s in self.samples]
+        self._bursts = [s.loss_burst for s in self.samples]
+        # The index last looked up and the [lo, hi) range of wrapped times
+        # that maps to it: consecutive packets almost always fall in the
+        # same second.  Only sorted times have such ranges.
+        self._sorted = all(a <= b for a, b in zip(self._times, self._times[1:]))
+        self._lo = self._hi = 0.0
+        self._current = 0
 
-    def _sample_at(self, time_s: float) -> LinkConditions:
+    def _index_at(self, time_s: float) -> int:
         wrapped = self._t0 + ((time_s - self._t0) % self._span)
-        idx = bisect.bisect_right(self._times, wrapped) - 1
-        return self.samples[max(idx, 0)]
+        if self._lo <= wrapped < self._hi:
+            return self._current
+        times = self._times
+        idx = max(bisect.bisect_right(times, wrapped) - 1, 0)
+        if self._sorted:
+            self._lo = times[idx] if idx > 0 else float("-inf")
+            self._hi = times[idx + 1] if idx + 1 < len(times) else float("inf")
+            self._current = idx
+        return idx
 
     def rate_bps(self, time_s: float) -> float:
-        return self._sample_at(time_s).capacity_mbps(self.downlink) * 1e6
+        return self._rates[self._index_at(time_s)]
 
     def one_way_delay_s(self, time_s: float) -> float:
-        return self._sample_at(time_s).rtt_ms * self.rtt_split / 1000.0
+        return self._delays[self._index_at(time_s)]
 
     def loss_rate(self, time_s: float) -> float:
-        return self._sample_at(time_s).loss_rate
+        return self._losses[self._index_at(time_s)]
 
     def loss_burst(self, time_s: float) -> float:
-        return self._sample_at(time_s).loss_burst
+        return self._bursts[self._index_at(time_s)]
 
 
 class FixedConditions:
@@ -160,24 +180,25 @@ class Link:
         if packet is None:
             self._busy = False
             return
-        rate = self.conditions.rate_bps(self.sim.now)
+        sim = self.sim
+        rate = self.conditions.rate_bps(sim.now)
         if rate <= 0:
             # Outage: hold the queue, flush stale packets, and poll for
             # capacity to return.
             while True:
                 head = self.queue.peek()
                 if head is None or (
-                    self.sim.now - head.sent_time_s <= self.STALL_FLUSH_AGE_S
+                    sim.now - head.sent_time_s <= self.STALL_FLUSH_AGE_S
                 ):
                     break
                 self.queue.pop()
                 self.random_losses += 1
             self._busy = True
-            self.sim.schedule(self.STALL_POLL_S, self._serve_next)
+            sim.post_at(sim.now + self.STALL_POLL_S, self._serve_next)
             return
         self._busy = True
         tx_time = packet.size_bytes * 8.0 / rate
-        self.sim.schedule(tx_time, self._transmission_done)
+        sim.post_at(sim.now + tx_time, self._transmission_done)
 
     def _transmission_done(self) -> None:
         packet = self.queue.pop()
@@ -185,15 +206,14 @@ class Link:
             if self._draw_loss(packet.size_bytes):
                 self.random_losses += 1
             else:
-                delay = self.conditions.one_way_delay_s(self.sim.now)
+                sim = self.sim
+                delay = self.conditions.one_way_delay_s(sim.now)
                 # A pipe is FIFO: when the sampled delay drops between two
                 # packets, the later one must not overtake the earlier one
                 # (spurious reordering would trigger bogus fast retransmits).
-                deliver_at = max(self.sim.now + delay, self._last_delivery_s)
+                deliver_at = max(sim.now + delay, self._last_delivery_s)
                 self._last_delivery_s = deliver_at
-                self.sim.schedule_at(
-                    deliver_at, lambda p=packet: self._deliver(p)
-                )
+                sim.post_at(deliver_at, partial(self._deliver, packet))
         self._serve_next()
 
     def _draw_loss(self, packet_bytes: int) -> bool:
@@ -209,24 +229,23 @@ class Link:
         stays a *short time window*, not a packet count it could take
         minutes to drain.
         """
-        if self.sim.now < self._burst_until_s:
+        now = self.sim.now
+        if now < self._burst_until_s:
             return True
-        p = self.conditions.loss_rate(self.sim.now)
+        p = self.conditions.loss_rate(now)
         if p <= 0.0:
             return False
         if p >= 1.0:
             return True
-        burst = max(self.conditions.loss_burst(self.sim.now), 1.0)
+        burst = max(self.conditions.loss_burst(now), 1.0)
         scale = packet_bytes / DEFAULT_MTU_BYTES
         if self._rng.random() >= min(p * scale / burst, 1.0):
             return False
         if burst > 1.0:
             run = float(self._rng.geometric(1.0 / burst)) - 1.0
-            rate = self.conditions.rate_bps(self.sim.now)
+            rate = self.conditions.rate_bps(now)
             if rate > 0 and run > 0:
-                self._burst_until_s = (
-                    self.sim.now + run * DEFAULT_MTU_BYTES * 8.0 / rate
-                )
+                self._burst_until_s = now + run * DEFAULT_MTU_BYTES * 8.0 / rate
         return True
 
     def _deliver(self, packet: Packet) -> None:

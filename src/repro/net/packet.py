@@ -11,7 +11,7 @@ _packet_ids = itertools.count()
 ACK_SIZE_BYTES = 60
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One simulated packet.
 
@@ -40,7 +40,7 @@ class Packet:
     #: Echo of the sender's transmission timestamp, for RTT sampling even
     #: on retransmitted sequences (Karn's algorithm made simple).
     timestamp_echo_s: float = -1.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

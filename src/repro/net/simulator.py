@@ -22,6 +22,8 @@ class Simulator:
         self._counter = itertools.count()
         self.now = 0.0
         self._stopped = False
+        #: Deepest the heap has been (mirrors ``sim.heap_depth_max``).
+        self._heap_max = 0
         obs = recorder if recorder is not None else get_recorder()
         self._m_fired = obs.counter("sim.events_fired")
         self._m_cancelled = obs.counter("sim.events_cancelled")
@@ -40,9 +42,26 @@ class Simulator:
                 f"cannot schedule in the past: {time_s} < now {self.now}"
             )
         handle = EventHandle(callback)
-        heapq.heappush(self._heap, (time_s, next(self._counter), handle))
-        self._m_heap_max.set_max(len(self._heap))
+        heap = self._heap
+        heapq.heappush(heap, (time_s, next(self._counter), callback, handle))
+        if len(heap) > self._heap_max:
+            self._heap_max = len(heap)
+            self._m_heap_max.set_max(self._heap_max)
         return handle
+
+    def post_at(self, time_s: float, callback: Callable[[], None]) -> None:
+        """:meth:`schedule_at` for an event nobody will cancel: no handle
+        is made.  Links post two such events per packet, so this is the
+        hottest call of a packet-level run."""
+        if time_s < self.now:
+            raise ValueError(
+                f"cannot schedule in the past: {time_s} < now {self.now}"
+            )
+        heap = self._heap
+        heapq.heappush(heap, (time_s, next(self._counter), callback, None))
+        if len(heap) > self._heap_max:
+            self._heap_max = len(heap)
+            self._m_heap_max.set_max(self._heap_max)
 
     def run(self, until_s: float | None = None) -> None:
         """Process events until the heap drains, time exceeds ``until_s``,
@@ -53,17 +72,28 @@ class Simulator:
         the heap under a deadline) fast-forwards the clock to ``until_s``.
         """
         self._stopped = False
-        while self._heap and not self._stopped:
-            time_s, _, handle = self._heap[0]
-            if until_s is not None and time_s > until_s:
-                break
-            heapq.heappop(self._heap)
-            if handle.cancelled:
-                self._m_cancelled.inc()
-                continue
-            self.now = time_s
-            handle.fire()
-            self._m_fired.inc()
+        heap = self._heap
+        heappop = heapq.heappop
+        limit = float("inf") if until_s is None else until_s
+        fired = cancelled = 0
+        try:
+            while heap and not self._stopped:
+                if heap[0][0] > limit:
+                    break
+                time_s, _, callback, handle = heappop(heap)
+                if handle is not None and handle.cancelled:
+                    cancelled += 1
+                    continue
+                self.now = time_s
+                callback()
+                fired += 1
+        finally:
+            # Counted once per run rather than per event; the totals are
+            # the same.
+            if fired:
+                self._m_fired.inc(fired)
+            if cancelled:
+                self._m_cancelled.inc(cancelled)
         if until_s is not None and not self._stopped and self.now < until_s:
             self.now = until_s
 
@@ -74,7 +104,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled queued events."""
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        return sum(1 for *_, h in self._heap if h is None or not h.cancelled)
 
 
 class EventHandle:

@@ -109,10 +109,11 @@ class SpanTracer:
     def record(self, name: str, /, duration_s: float, **meta: object) -> Span:
         """Append an already-measured span (no timing of our own).
 
-        The parallel campaign uses this to graft worker-measured drive
+        The drive pool uses this to graft attempt-measured drive
         durations into the parent tracer: the span nests under whatever
-        span is currently open (``campaign.run`` during a merge), with
-        its start back-dated so ``start + duration`` is now.
+        span is currently open (``campaign.run`` in-process,
+        ``campaign.parallel`` with forked workers), with its start
+        back-dated so ``start + duration`` is now.
         """
         now = time.perf_counter() - self._epoch
         span = Span(

@@ -1,7 +1,7 @@
 """repro.resilience: self-healing campaign execution.
 
 The execution layer's immune system, built from four pieces that the
-campaign (:mod:`repro.core.campaign`) and the parallel pool wire
+campaign (:mod:`repro.core.campaign`) and its drive pool wire
 together:
 
 * a **failure taxonomy** (:mod:`~repro.resilience.taxonomy`) that
@@ -13,9 +13,10 @@ together:
 * **artifact integrity** (:mod:`~repro.resilience.integrity`) — content
   digests embedded in every persisted JSON artifact, and
   quarantine-and-salvage for corrupt checkpoints;
-* **graceful shutdown** (:mod:`~repro.resilience.signals`) and a
-  **supervised worker pool** (:mod:`~repro.resilience.pool`) with
-  per-drive deadlines, heartbeat liveness, and kill-and-requeue.
+* **graceful shutdown** (:mod:`~repro.resilience.signals`) and the
+  **drive pool** (:mod:`~repro.resilience.pool`), every campaign's
+  only executor: in-process at one worker, supervised forked workers
+  (per-drive deadlines, heartbeat liveness, kill-and-requeue) above.
 
 See the "Resilience" section of ``docs/FAULTS.md`` for the model.
 """

@@ -87,9 +87,9 @@ class ResilienceConfig:
     """Execution-resilience knobs for a campaign.
 
     Attach one to :attr:`repro.core.campaign.CampaignConfig.resilience`
-    to enable per-drive retries (serial and parallel) and — for
-    parallel runs — the worker watchdog (per-drive deadlines, heartbeat
-    liveness, kill-and-requeue).
+    to set per-drive retries (at every worker count) and the forked
+    workers' watchdog deadline.  Without one the drive pool runs a
+    single attempt per drive with no deadline.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)

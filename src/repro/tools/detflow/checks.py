@@ -14,11 +14,11 @@ string in the crash-test files.  Missing crash-test files (or an
 unanalyzable label expression) fail closed as DF202: "cannot verify"
 must never read as "verified".
 
-**Fork-safety (DF301).**  ``parallel_campaign`` and ``serve.service``
-fork workers; state captured across a fork boundary is silently
-duplicated — a shared ``ShardWriter`` writes torn shards, a forked
-``JobJournal`` fsyncs the same fd from two processes, a copied open
-file handle double-flushes buffered bytes.  This check inspects every
+**Fork-safety (DF301).**  The drive pool (``resilience.pool``) and
+``serve.service`` fork workers; state captured across a fork boundary
+is silently duplicated — a shared ``ShardWriter`` writes torn shards, a
+forked ``JobJournal`` fsyncs the same fd from two processes, a copied
+open file handle double-flushes buffered bytes.  This check inspects every
 ``Process(...)`` / ``ProcessPoolExecutor(...)`` call site and flags
 arguments typed (by local constructor inference) as live-state classes,
 locals bound to ``open()`` results, and bound-method targets
@@ -53,6 +53,8 @@ LIVE_STATE_CLASSES = frozenset({
     "ShardWriter", "JobJournal", "DriveCache", "ObsRecorder",
 })
 
+#: Fork call sites.  ``ProcessPoolExecutor`` has no call site today; it
+#: stays so that future code using one is checked too.
 FORK_CALL_LEAVES = frozenset({"Process", "ProcessPoolExecutor"})
 
 

@@ -1,8 +1,9 @@
 """The detlint rule set: DET001–DET007, INV101, and INV102.
 
 Each rule enforces one determinism or observability invariant that the
-keystone byte-identity tests (``tests/test_parallel_campaign.py``,
-``tests/test_resilience.py``) rely on.  Rules are documented with
+keystone byte-identity tests rely on: every worker count of the one
+drive executor (``tests/test_parallel_campaign.py``) and every healed
+run (``tests/test_resilience.py``) must match a clean serial run.  Rules are documented with
 rationale and examples in ``docs/STATIC_ANALYSIS.md``; keep the two in
 sync when adding rules.
 

@@ -77,6 +77,9 @@ class Cubic:
         self._epoch_start_s = -1.0
         self._w_est = 0.0  # TCP-friendly (Reno-equivalent) window estimate
         self._acked_in_epoch = 0
+        #: K of the cubic curve and the W_max it was computed for.
+        self._k = 0.0
+        self._k_w_max = -1.0
 
     def on_ack(self, newly_acked: int, rtt_s: float, now_s: float) -> None:
         if newly_acked <= 0:
@@ -92,7 +95,10 @@ class Cubic:
             self._w_est = self.cwnd
             self._acked_in_epoch = 0
         t = now_s - self._epoch_start_s
-        k = ((self._w_max * (1.0 - self.BETA)) / self.C) ** (1.0 / 3.0)
+        if self._w_max != self._k_w_max:  # K only moves with W_max
+            self._k = ((self._w_max * (1.0 - self.BETA)) / self.C) ** (1.0 / 3.0)
+            self._k_w_max = self._w_max
+        k = self._k
         target = self.C * (t + rtt_s - k) ** 3 + self._w_max
         # TCP-friendly region: emulate Reno's growth from the epoch start.
         self._acked_in_epoch += newly_acked

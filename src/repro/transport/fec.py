@@ -155,7 +155,7 @@ class FecSender:
             )
         )
         self._next_seq += 1
-        self.sim.schedule(self.interval_s, self._send_next)
+        self.sim.post_at(self.sim.now + self.interval_s, self._send_next)
 
     def on_ack(self, packet: Packet) -> None:  # pragma: no cover - no ACKs
         """FEC-over-UDP has no ACK channel; present for Path symmetry."""

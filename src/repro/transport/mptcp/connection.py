@@ -19,6 +19,7 @@ The pieces that matter for the paper's Section 6 findings:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.net.packet import ACK_SIZE_BYTES, Packet
 from repro.net.path import Path
@@ -57,7 +58,10 @@ class Subflow(TcpSender):
         """Congestion/receive window space for one more segment."""
         if not self._started:
             return False
-        occupancy = self._pipe() if self.in_recovery else self.inflight
+        if self._recover >= 0 and self.snd_una < self._recover:  # in_recovery
+            occupancy = self._pipe()
+        else:
+            occupancy = self.snd_nxt - self.snd_una
         return occupancy < self._window()
 
     def send_one(self) -> None:
@@ -180,10 +184,7 @@ class MptcpConnection:
         )
         self.subflows.append(subflow)
         receiver.attach_subflow(subflow.subflow_id, path)
-        path.connect(
-            lambda pkt, sid=subflow.subflow_id: receiver.on_data(sid, pkt),
-            subflow.on_ack,
-        )
+        path.connect(partial(receiver.on_data, subflow.subflow_id), subflow.on_ack)
         return subflow
 
     def start(self) -> None:
@@ -240,12 +241,14 @@ class MptcpConnection:
         if self._pumping:
             return  # transmit paths re-enter via _try_send; flatten it
         self._pumping = True
+        subflows = self.subflows
+        pick = self.scheduler.pick
         try:
             while self.can_assign_data():
-                available = [sf for sf in self.subflows if sf.has_space()]
+                available = [sf for sf in subflows if sf.has_space()]
                 if not available:
                     break
-                chosen = self.scheduler.pick(available, self)
+                chosen = pick(available, self)
                 if chosen is None:
                     break  # scheduler elects to wait (BLEST blocking guard)
                 chosen.send_one()
@@ -254,12 +257,12 @@ class MptcpConnection:
         self._refresh_stats()
 
     def _refresh_stats(self) -> None:
-        self.stats.segments_sent = sum(
-            sf.stats.segments_sent for sf in self.subflows
-        )
-        self.stats.retransmissions = sum(
-            sf.stats.retransmissions for sf in self.subflows
-        )
+        sent = retransmissions = 0
+        for sf in self.subflows:
+            sent += sf.stats.segments_sent
+            retransmissions += sf.stats.retransmissions
+        self.stats.segments_sent = sent
+        self.stats.retransmissions = retransmissions
 
 
 class MptcpReceiver:

@@ -16,12 +16,16 @@ counted exactly once even when schedulers delegate to each other
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from repro.obs.recorder import get_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.transport.mptcp.connection import MptcpConnection, Subflow
+
+#: Sort key of the RTT-driven schedulers.
+_srtt = attrgetter("smoothed_rtt_s")
 
 
 class Scheduler(Protocol):
@@ -95,7 +99,7 @@ class MinRtt(SchedulerBase):
     def _pick(self, available, connection):
         if not available:
             return None
-        return min(available, key=lambda sf: sf.smoothed_rtt_s)
+        return min(available, key=_srtt)
 
 
 class Blest(SchedulerBase):
@@ -119,10 +123,8 @@ class Blest(SchedulerBase):
     def _pick(self, available, connection):
         if not available:
             return None
-        fastest_overall = min(
-            connection.subflows, key=lambda sf: sf.smoothed_rtt_s
-        )
-        candidate = min(available, key=lambda sf: sf.smoothed_rtt_s)
+        fastest_overall = min(connection.subflows, key=_srtt)
+        candidate = min(available, key=_srtt)
         if candidate is fastest_overall:
             return candidate
         # Only slower subflow(s) have space: estimate blocking.

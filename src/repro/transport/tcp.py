@@ -205,7 +205,11 @@ class TcpSender:
     # -- sending ---------------------------------------------------------
 
     def _window(self) -> int:
-        return max(int(min(self.cc.cwnd, self._rwnd)), 1)
+        # max(int(min(cwnd, rwnd)), 1), spelled out: this runs per
+        # scheduling decision.
+        cwnd, rwnd = self.cc.cwnd, self._rwnd
+        window = int(rwnd if rwnd < cwnd else cwnd)
+        return window if window > 1 else 1
 
     def _pipe(self) -> int:
         """RFC 6675-flavored estimate of segments actually in the network.
@@ -248,18 +252,15 @@ class TcpSender:
             self._hole_cursor += 1
         return None
 
-    def _new_data_allowed(self) -> bool:
-        if self.total_segments is not None and self.snd_nxt >= self.total_segments:
-            return False
-        return self.snd_nxt < self.snd_una + self._window()
-
     def _try_send(self) -> None:
         """Send retransmissions (holes first) and then new data."""
         if not self._started:
             return
         budget = self._window()
-        occupancy = self._pipe() if self.in_recovery else self.inflight
-        occupancy = self._send_retransmissions(budget, occupancy)
+        if self.in_recovery:
+            occupancy = self._send_retransmissions(budget, self._pipe())
+        else:
+            occupancy = self.snd_nxt - self.snd_una
         self._send_new_data(budget, occupancy)
         self._arm_rto()
 
@@ -270,8 +271,6 @@ class TcpSender:
         incrementally (+1 per transmission) — recomputing it per packet is
         quadratic in the window during big recoveries.
         """
-        if not self.in_recovery:
-            return occupancy
         while occupancy < budget:
             hole = self._next_hole()
             if hole is None:
@@ -284,7 +283,12 @@ class TcpSender:
     def _send_new_data(self, budget: int, occupancy: int) -> None:
         """Fill the remaining window with new segments (overridden by
         MPTCP subflows, where the connection's scheduler assigns data)."""
-        while self._new_data_allowed() and occupancy < budget:
+        # Links deliver through the event loop, never inside send(), so
+        # no ACK can move either window during this loop.
+        limit = self.snd_una + budget
+        if self.total_segments is not None:
+            limit = min(limit, self.total_segments)
+        while self.snd_nxt < limit and occupancy < budget:
             self._transmit(self.snd_nxt, retransmit=False)
             self.snd_nxt += 1
             occupancy += 1
@@ -307,20 +311,23 @@ class TcpSender:
 
     def on_ack(self, packet: Packet) -> None:
         """Process a (possibly duplicate, possibly SACK-bearing) ACK."""
-        self._rwnd = max(packet.rwnd, 1)
+        now = self.sim.now
+        rwnd = packet.rwnd
+        self._rwnd = rwnd if rwnd > 1 else 1
         if packet.timestamp_echo_s >= 0:
-            self._rtt_sample(self.sim.now - packet.timestamp_echo_s)
+            self._rtt_sample(now - packet.timestamp_echo_s)
         if packet.sack_start >= 0:
-            for seq in range(packet.sack_start, packet.sack_end):
-                if seq >= self.snd_una:
-                    self._sacked.add(seq)
+            self._sacked.update(
+                range(max(packet.sack_start, self.snd_una), packet.sack_end)
+            )
             self._fack = max(self._fack, packet.sack_end)
-            self._last_progress_s = self.sim.now  # SACKs are forward progress
+            self._last_progress_s = now  # SACKs are forward progress
 
-        if packet.ack > self.snd_una:
-            self._last_progress_s = self.sim.now
-            newly_acked = packet.ack - self.snd_una
-            self.snd_una = packet.ack
+        ack = packet.ack
+        if ack > self.snd_una:
+            self._last_progress_s = now
+            newly_acked = ack - self.snd_una
+            self.snd_una = ack
             self.stats.bytes_acked += newly_acked * self.segment_bytes
             self._dupacks = 0
             self._prune_scoreboard()
@@ -330,10 +337,11 @@ class TcpSender:
             # sender is in slow start (not fast recovery), and freezing the
             # window until the whole pre-loss flight is re-acked would turn
             # every outage into a multi-second crawl.
-            self.cc.on_ack(newly_acked, self.smoothed_rtt_s, self.sim.now)
+            srtt = self._srtt
+            self.cc.on_ack(newly_acked, srtt if srtt is not None else 1.0, now)
             self._reset_rto()
             self._try_send()
-        elif packet.ack == self.snd_una and self.inflight > 0:
+        elif ack == self.snd_una and self.inflight > 0:
             self._dupacks += 1
             if not self.in_recovery and (
                 self._dupacks >= _DUPACK_THRESHOLD
@@ -344,8 +352,10 @@ class TcpSender:
                 self._try_send()
 
     def _prune_scoreboard(self) -> None:
-        self._sacked = {s for s in self._sacked if s >= self.snd_una}
-        self._rtx_done = {s for s in self._rtx_done if s >= self.snd_una}
+        if self._sacked:
+            self._sacked = {s for s in self._sacked if s >= self.snd_una}
+        if self._rtx_done:
+            self._rtx_done = {s for s in self._rtx_done if s >= self.snd_una}
         if not self._sacked:
             self._fack = self.snd_una
 
@@ -385,7 +395,7 @@ class TcpSender:
             self.cc.ssthresh = self.cc.cwnd
 
     def _arm_rto(self) -> None:
-        if self._rto_timer is None and self.inflight > 0:
+        if self._rto_timer is None and self.snd_nxt > self.snd_una:
             self._rto_timer = self.sim.schedule(self._rto, self._on_rto)
 
     def _reset_rto(self) -> None:

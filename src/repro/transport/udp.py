@@ -82,7 +82,7 @@ class UdpSender:
                 sent_time_s=self.sim.now,
             )
         )
-        self.sim.schedule(self.interval_s, self._send_next)
+        self.sim.post_at(self.sim.now + self.interval_s, self._send_next)
 
     def on_ack(self, packet: Packet) -> None:  # pragma: no cover - no ACKs
         """UDP has no ACKs; present for Path wiring symmetry."""

@@ -6,10 +6,14 @@ import pytest
 from repro.experiments import run_experiment
 
 
-def test_ext_fec_recovers_gap():
-    result = run_experiment(
-        "ext-fec", duration_s=45, seed=3, segment_bytes=6000
-    )
+@pytest.fixture(scope="module")
+def ext_fec():
+    """One deterministic ext-fec run, shared by the tests that read it."""
+    return run_experiment("ext-fec", duration_s=45, seed=3, segment_bytes=6000)
+
+
+def test_ext_fec_recovers_gap(ext_fec):
+    result = ext_fec
     udp = result.row("UDP (ceiling)").goodput_mbps
     tcp = result.row("TCP (baseline)").goodput_mbps
     fec = result.row("FEC k=20 r=4").goodput_mbps
@@ -19,10 +23,8 @@ def test_ext_fec_recovers_gap():
     assert result.row("FEC k=20 r=4").overhead == pytest.approx(4 / 24)
 
 
-def test_ext_fec_more_repair_less_block_loss():
-    result = run_experiment(
-        "ext-fec", duration_s=45, seed=3, segment_bytes=6000
-    )
+def test_ext_fec_more_repair_less_block_loss(ext_fec):
+    result = ext_fec
     weak = result.row("FEC k=20 r=2").block_loss_rate
     strong = result.row("FEC k=20 r=4").block_loss_rate
     assert strong <= weak + 0.02

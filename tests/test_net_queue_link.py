@@ -1,8 +1,10 @@
 """Drop-tail queue and variable-rate link."""
 
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.conditions import LinkConditions
 from repro.net.link import (
@@ -176,6 +178,32 @@ def test_conditions_schedule_wraps():
     # Wraps modulo the 2 s span.
     assert schedule.rate_bps(2.5) == 10e6
     assert schedule.loss_rate(3.7) == pytest.approx(0.1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    times=st.lists(
+        st.integers(min_value=-5, max_value=20), min_size=1, max_size=8
+    ),
+    queries=st.lists(
+        st.floats(min_value=-30.0, max_value=60.0), min_size=1, max_size=40
+    ),
+)
+def test_conditions_schedule_lookup_matches_bisect(times, queries):
+    """The remembered-sample shortcut returns what a fresh bisect over
+    the wrapped time would, for any query order — sorted, gapped,
+    duplicated and unsorted sample times alike."""
+    samples = [
+        LinkConditions(float(t), float(i + 1), 1.0, 20.0, 0.0)
+        for i, t in enumerate(times)
+    ]
+    schedule = ConditionsSchedule(samples)
+    stamps = [s.time_s for s in samples]
+    t0, span = stamps[0], max(stamps[-1] - stamps[0] + 1.0, 1.0)
+    for query in queries:
+        wrapped = t0 + ((query - t0) % span)
+        idx = max(bisect.bisect_right(stamps, wrapped) - 1, 0)
+        assert schedule.rate_bps(query) == samples[idx].downlink_mbps * 1e6
 
 
 def test_conditions_schedule_uplink_view():

@@ -25,6 +25,7 @@ from repro.obs import (
     ObsRecorder,
     merge_snapshots,
 )
+from repro.resilience import ResilienceConfig, RetryPolicy
 
 #: Worker count for the golden equivalence test (CI pins this to 2).
 EQUIV_WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
@@ -137,23 +138,29 @@ def test_parallel_merges_obs_and_fault_accounting():
 
 
 def test_parallel_drive_failure_isolated():
-    """One drive raising in a worker becomes a DriveFailure; the other
-    drives' data survives, numbered identically to a serial run."""
-    reference = Campaign(_grid_config()).run()
+    """One drive raising mid-way in a worker becomes a DriveFailure; the
+    other drives' data survives, numbered identically to a serial run,
+    and the failed drive's partial metrics leave no trace: the
+    deterministic manifest equals a serial run's under the same failure."""
+    reference = Campaign(_grid_config(faults=True)).run()
 
-    original = Campaign._simulate_drive
+    original = FaultInjector.sample
 
-    def flaky(self, drive_id, route):
-        if drive_id == 1:
+    def flaky(self, time_s, position, speed_kmh, area):
+        if self.drive_id == 1 and time_s > 100.0:
             raise RuntimeError("dish fell off in a worker")
-        return original(self, drive_id, route)
+        return original(self, time_s, position, speed_kmh, area)
 
-    Campaign._simulate_drive = flaky
+    FaultInjector.sample = flaky
     try:
-        campaign = Campaign(_grid_config(workers=2))
+        serial = Campaign(_grid_config(faults=True), recorder=ObsRecorder())
+        serial.run()
+        campaign = Campaign(
+            _grid_config(workers=2, faults=True), recorder=ObsRecorder()
+        )
         dataset = campaign.run()
     finally:
-        Campaign._simulate_drive = original
+        FaultInjector.sample = original
 
     report = campaign.report
     assert not report.ok
@@ -166,15 +173,26 @@ def test_parallel_drive_failure_isolated():
     assert [r.samples for r in dataset.records] == [
         r.samples for r in surviving
     ]
+    assert (
+        campaign.manifest.deterministic_blob()
+        == serial.manifest.deterministic_blob()
+    )
 
 
 # -- resume under parallelism --------------------------------------------
 
 
-def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path):
+@pytest.mark.parametrize(
+    "resilience",
+    [None, ResilienceConfig(retry=RetryPolicy(max_attempts=2, base_delay_s=0.0))],
+    ids=["no-retry", "retrying"],
+)
+def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path, resilience):
     """Kill a parallel run after drive k (via the fault injector), resume
     at a different worker count: checkpointed drives never re-execute and
-    the final dataset matches an uninterrupted run byte for byte."""
+    the final dataset matches an uninterrupted run byte for byte.  The
+    ``KeyboardInterrupt`` raised inside a worker aborts the parent run;
+    a retrying policy must not mistake it for a dead worker."""
     ckpt = tmp_path / "ckpt.json"
     ref, res = tmp_path / "ref.json", tmp_path / "res.json"
     Campaign(_grid_config(faults=True)).run().save_json(ref)
@@ -191,9 +209,9 @@ def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path):
     FaultInjector.sample = killer
     try:
         with pytest.raises(KeyboardInterrupt):
-            Campaign(_grid_config(workers=2, faults=True)).run(
-                checkpoint_path=ckpt
-            )
+            Campaign(
+                _grid_config(workers=2, faults=True, resilience=resilience)
+            ).run(checkpoint_path=ckpt)
     finally:
         FaultInjector.sample = original
 
