@@ -2,7 +2,7 @@
 
 Runs ``CampaignConfig.small(drives=4)`` serially and sharded across
 ``REPRO_BENCH_WORKERS`` (default 4) worker processes, asserts the two
-checkpoints are byte-identical (the parallel-campaign invariant at full
+checkpoint stores are byte-identical (the parallel-campaign invariant at full
 small() scale), and writes ``BENCH_parallel.json`` at the repo root —
 the machine-readable scaling baseline, next to ``BENCH_obs.json``.
 Speedup is hardware-bound: expect ~Nx on an N-core runner and ~1x (pool
@@ -15,6 +15,7 @@ import os
 import time
 
 from repro.core.campaign import Campaign, CampaignConfig
+from tests.helpers import store_bytes
 
 #: Where the scaling baseline lands (repo root, next to BENCH_obs.json).
 _BENCH_PATH = os.path.join(
@@ -31,7 +32,7 @@ def test_parallel_scaling_small_campaign(tmp_path):
     for workers in (1, WORKERS):
         config = CampaignConfig.small(drives=4)
         config.workers = workers
-        ckpt = tmp_path / f"w{workers}.ckpt.json"
+        ckpt = tmp_path / f"w{workers}.ckpt"
         started = time.perf_counter()
         dataset = Campaign(config).run(checkpoint_path=ckpt)
         wall = time.perf_counter() - started
@@ -42,7 +43,7 @@ def test_parallel_scaling_small_campaign(tmp_path):
                 "num_tests": dataset.num_tests,
             }
         )
-        checkpoints[workers] = ckpt.read_bytes()
+        checkpoints[workers] = store_bytes(ckpt)
 
     # The equivalence invariant, at full small() scale.
     assert checkpoints[1] == checkpoints[WORKERS]

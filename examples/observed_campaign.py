@@ -3,8 +3,8 @@
 Demonstrates the :mod:`repro.obs` loop end to end:
 
 1. build an :class:`~repro.obs.ObsRecorder` and hand it to the campaign;
-2. run with a checkpoint so the :class:`~repro.obs.RunManifest` lands
-   next to it;
+2. run with a checkpoint (a store directory) so the
+   :class:`~repro.obs.RunManifest` lands next to it;
 3. run a packet-level TCP test under the same recorder, so the DES
    event-loop counters land in the same artifact;
 4. dump metrics as JSONL and Prometheus text;
@@ -57,7 +57,7 @@ def main() -> None:
     campaign = Campaign(config, recorder=recorder)
 
     out_dir = tempfile.mkdtemp(prefix="observed_campaign_")
-    checkpoint = os.path.join(out_dir, "campaign.ckpt.json")
+    checkpoint = os.path.join(out_dir, "campaign.ckpt")
     dataset = campaign.run(checkpoint_path=checkpoint)
 
     # A packet-level TCP test over a Starlink trace from the same world:
@@ -103,7 +103,7 @@ def main() -> None:
 
     print(f"dataset      : {dataset.num_tests} tests, "
           f"{dataset.distance_km:.1f} km, {dataset.trace_minutes:.0f} device-minutes")
-    print(f"checkpoint   : {checkpoint}")
+    print(f"checkpoint   : {checkpoint}/ (shard store)")
     print(f"manifest     : {checkpoint}.manifest.json")
     print(f"jsonl dump   : {jsonl_path} ({lines} lines)")
     print(f"prometheus   : {prom_path}")

@@ -10,10 +10,11 @@ logger records metadata continuously.
 The orchestration is resilient the way a month-long field campaign has to
 be: drives are isolated (one drive blowing up becomes a structured
 :class:`DriveFailure`, not a lost campaign), progress is checkpointed to
-JSON after every drive so an interrupted run resumes from the last
-completed drive, and a :class:`CampaignReport` records failures, injected
-faults, and resumed state.  Fault injection itself lives in
-:mod:`repro.faults` and composes over the channels from the outside.
+a :class:`~repro.store.ShardStore` directory after every drive so an
+interrupted run resumes from the last completed drive, and a
+:class:`CampaignReport` records failures, injected faults, and resumed
+state.  Fault injection itself lives in :mod:`repro.faults` and
+composes over the channels from the outside.
 """
 
 from __future__ import annotations
@@ -50,17 +51,7 @@ from repro.leo.dish import dish_for_plan, DishPlan
 from repro.leo.gateway import GatewayNetwork
 from repro.obs.manifest import RunManifest
 from repro.obs.recorder import get_recorder
-from repro.resilience import (
-    CheckpointCorruptError,
-    DIGEST_KEY,
-    ResilienceConfig,
-    ResilienceReport,
-    embed_digest,
-    graceful_shutdown,
-    quarantine,
-    salvage_drives,
-    verify_digest,
-)
+from repro.resilience import ResilienceConfig, ResilienceReport, graceful_shutdown
 from repro.rng import RngStreams
 from repro.store import DriveCache, ShardStore
 from repro.store.commit import atomic_write_json
@@ -78,11 +69,6 @@ TEST_ID_STRIDE = 100_000
 #: iPerf-style UDP overdrive: the sender's constant offered load sits
 #: ~20% above its running estimate of the link rate.
 UDP_OVERDRIVE = 1.2
-
-#: Checkpoint schema version.  v2 added content digests (whole-file and
-#: per-drive), which is what makes corruption detectable and salvage
-#: possible; v1 files fail the version check with a clear message.
-CHECKPOINT_VERSION = 2
 
 #: Bucket bounds for the per-drive wall-clock histogram.
 DRIVE_SECONDS_BUCKETS = (0.1, 0.5, 1, 5, 10, 60, 300, 1800)
@@ -152,14 +138,6 @@ class CampaignConfig:
     #: ``workers``: excluded from :meth:`fingerprint` because retried and
     #: watchdog-healed runs are byte-identical to untouched ones.
     resilience: ResilienceConfig | None = None
-    #: How ``checkpoint_path`` is laid out: ``"json"`` keeps the legacy
-    #: monolithic checkpoint file; ``"jsonl"`` makes it a
-    #: :class:`repro.store.ShardStore` directory of digest-chained
-    #: per-drive shards that stream as tests complete (see
-    #: ``docs/ARTIFACTS.md``).  Execution-only knob like ``workers``:
-    #: excluded from :meth:`fingerprint` because both formats hold the
-    #: byte-identical payloads.
-    artifact_format: str = "json"
     #: Optional content-addressed result cache
     #: (:class:`repro.store.DriveCache`).  Drives already cached under
     #: ``(fingerprint(), drive_id)`` are restored instead of recomputed;
@@ -218,11 +196,6 @@ class CampaignConfig:
             raise ValueError(
                 f"resilience must be a ResilienceConfig, got {type(self.resilience)}"
             )
-        if self.artifact_format not in ("json", "jsonl"):
-            raise ValueError(
-                f"artifact_format must be 'json' or 'jsonl', "
-                f"got {self.artifact_format!r}"
-            )
         if self.cache_dir is not None:
             self.cache_dir = os.fspath(self.cache_dir)
         if not isinstance(self.fastpath, bool):
@@ -238,13 +211,12 @@ class CampaignConfig:
         """Stable content hash: guards checkpoint/config mismatches.
 
         Covers every knob that shapes the dataset; ``workers``,
-        ``resilience``, ``artifact_format``, ``cache_dir``, and
-        ``fastpath`` are deliberately excluded — they are execution
-        knobs, so a checkpoint written by a serial run resumes under any
-        worker count, retry/watchdog setting, artifact layout, cache
-        configuration, or hot-path implementation (and vice versa), and
-        cached results address the same key whatever execution shape
-        produced them.
+        ``resilience``, ``cache_dir``, and ``fastpath`` are deliberately
+        excluded — they are execution knobs, so a checkpoint written by a
+        serial run resumes under any worker count, retry/watchdog
+        setting, cache configuration, or hot-path implementation (and
+        vice versa), and cached results address the same key whatever
+        execution shape produced them.
         """
         payload = {
             "seed": self.seed,
@@ -443,15 +415,11 @@ class Campaign:
         #: What the self-healing machinery did this run (see
         #: :class:`repro.resilience.ResilienceReport`).
         self._resilience = ResilienceReport()
-        #: Sharded artifact store when ``artifact_format == "jsonl"``
-        #: and a checkpoint path is in play; set by :meth:`run` (and by
-        #: the drive pool in its forked workers).  ``None`` keeps the
-        #: legacy monolithic checkpoint writer.
+        #: The checkpoint store when a checkpoint path is in play; set
+        #: by :meth:`run` (and by the drive pool in its forked workers).
         self._shard_store: ShardStore | None = None
         #: Content-addressed drive cache when ``cache_dir`` is set.
         self._cache: DriveCache | None = None
-        #: Monolithic checkpoint path when no shard store is in play.
-        self._checkpoint_path: str | None = None
         #: Config fingerprint, cached for the artifact writers.
         self._fingerprint = self.config.fingerprint()
 
@@ -464,11 +432,14 @@ class Campaign:
     ) -> DriveDataset:
         """Simulate the whole campaign and return the dataset.
 
-        With ``checkpoint_path``, progress is written there after every
-        drive and a matching checkpoint found at start resumes the run
-        from the last completed drive.  Per-drive results are independent
-        (seeds and test ids are derived per drive), so a resumed campaign
-        produces a dataset identical to an uninterrupted one.
+        With ``checkpoint_path``, progress is committed to a
+        :class:`~repro.store.ShardStore` directory there after every
+        drive, and a matching store found at start resumes the run from
+        the last completed drive.  A regular file at the path raises
+        ``ValueError``: monolithic JSON checkpoints are no longer read.
+        Per-drive results are independent (seeds and test ids are derived
+        per drive), so a resumed campaign produces a dataset identical to
+        an uninterrupted one.
 
         A drive that raises is captured as a :class:`DriveFailure` in
         :attr:`report` and the campaign continues with the next drive.
@@ -500,8 +471,10 @@ class Campaign:
 
             drive_payloads: dict[int, dict] = {}
             resumed = 0
-            if checkpoint_path is not None and os.path.exists(checkpoint_path):
-                drive_payloads = self._resume(checkpoint_path, fingerprint)
+            store = self._shard_store
+            if store is not None and os.path.exists(store.root):
+                with obs.span("campaign.resume"):
+                    drive_payloads = self._resume(store)
                 resumed = len(drive_payloads)
                 obs.counter("campaign.drives_resumed").inc(resumed)
                 for drive_id in sorted(drive_payloads):
@@ -510,21 +483,14 @@ class Campaign:
                     )
 
             cached = self._restore_from_cache(routes, drive_payloads, fingerprint)
-            if (
-                checkpoint_path is not None
-                and self._shard_store is not None
-                and (resumed or cached)
-                and drive_payloads
-            ):
-                # Re-seed the store so migrated, salvaged, and cached
-                # drives are durably committed before execution starts.
+            if store is not None and (resumed or cached):
+                # Re-seed the store so salvaged and cached drives are
+                # durably committed before execution starts.
                 self._commit_progress(drive_payloads)
 
             from repro.resilience.pool import run_drives
 
-            failures = run_drives(
-                self, routes, drive_payloads, checkpoint_path, shutdown
-            )
+            failures = run_drives(self, routes, drive_payloads, shutdown)
 
             dataset = self._assemble(
                 routes, drive_payloads, failures, resumed, checkpoint_path
@@ -537,11 +503,7 @@ class Campaign:
                 obs,
                 fingerprint,
                 drives=sorted(self._drive_rows, key=lambda row: row["drive"]),
-                artifacts=(
-                    self._shard_store.artifact_index()
-                    if self._shard_store is not None
-                    else None
-                ),
+                artifacts=store.artifact_index() if store is not None else None,
                 num_tests=dataset.num_tests,
                 distance_km=round(dataset.distance_km, 3),
                 trace_minutes=round(dataset.trace_minutes, 3),
@@ -558,68 +520,22 @@ class Campaign:
     def _open_store(
         self, checkpoint_path: str | os.PathLike | None, fingerprint: str
     ) -> None:
-        """Decide the artifact layout for this run.
-
-        ``artifact_format == "jsonl"`` opens a :class:`ShardStore` at
-        the checkpoint path; so does an existing store *directory*
-        regardless of the configured format (a store, once sharded,
-        stays readable).  Everything else keeps the legacy monolithic
-        checkpoint writer.
-        """
+        """Open the :class:`ShardStore` directory at the checkpoint path."""
         self._shard_store = None
-        self._checkpoint_path = None
         if checkpoint_path is None:
             return
         path = os.fspath(checkpoint_path)
-        if self.config.artifact_format == "jsonl" or os.path.isdir(path):
-            self._shard_store = ShardStore(path, fingerprint)
-        else:
-            self._checkpoint_path = path
+        if os.path.isfile(path):
+            raise ValueError(
+                f"checkpoint path {path!r} is a file: monolithic JSON "
+                "checkpoints are no longer read (a checkpoint is a shard "
+                "store directory); move the file or choose another path"
+            )
+        self._shard_store = ShardStore(path, fingerprint)
 
-    def _resume(
-        self, checkpoint_path: str | os.PathLike, fingerprint: str
-    ) -> dict[int, dict]:
-        """Restore completed drives from whatever exists at the path."""
-        obs = self.obs
-        with obs.span("campaign.resume"):
-            if self._shard_store is None:
-                try:
-                    return _load_checkpoint(checkpoint_path, fingerprint)
-                except CheckpointCorruptError as exc:
-                    return self._salvage_checkpoint(
-                        checkpoint_path, fingerprint, exc
-                    )
-            path = os.fspath(checkpoint_path)
-            if os.path.isfile(path):
-                return self._migrate_legacy_checkpoint(path, fingerprint)
-            return self._load_store(fingerprint)
-
-    def _migrate_legacy_checkpoint(
-        self, path: str, fingerprint: str
-    ) -> dict[int, dict]:
-        """A monolithic checkpoint file sits where the store goes.
-
-        Load it through the legacy reader (salvage included), move the
-        file aside to ``<path>.legacy.json``, and let the caller commit
-        the restored drives into the fresh store directory — old
-        checkpoints stay readable and upgrade in place.
-        """
-        from repro.store.commit import fsync_dir
-
-        try:
-            payloads = _load_checkpoint(path, fingerprint)
-        except CheckpointCorruptError as exc:
-            # Quarantines the file itself, freeing the store's name.
-            return self._salvage_checkpoint(path, fingerprint, exc)
-        legacy = f"{path}.legacy.json"
-        os.replace(path, legacy)
-        fsync_dir(os.path.dirname(os.path.abspath(path)))
-        return payloads
-
-    def _load_store(self, fingerprint: str) -> dict[int, dict]:
+    def _resume(self, store: ShardStore) -> dict[int, dict]:
         """Recover the shard store, folding repairs into the report."""
         obs = self.obs
-        store = self._shard_store
         raw, recovery = store.load()
         if recovery.manifest_quarantined is not None:
             self._resilience.integrity_failures += 1
@@ -634,7 +550,7 @@ class Campaign:
             # their metric snapshots lived in the lost manifest and a
             # resumed run must still produce the clean-run manifest.
             if not obs.enabled:
-                raw = self._adopt_orphan_shards(store)
+                raw = store.adopt_orphans(range(self.config.num_drives))
         if recovery.shards_quarantined:
             count = len(recovery.shards_quarantined)
             self._resilience.integrity_failures += count
@@ -655,34 +571,6 @@ class Campaign:
             drive_id: _payload_from_raw(payload)
             for drive_id, payload in raw.items()
         }
-
-    def _adopt_orphan_shards(self, store: ShardStore) -> dict[int, dict]:
-        """Strictly re-verified shards from a store with no manifest."""
-        from repro.store import read_shard, shard_name
-        from repro.store.shard import ShardCorruptError
-
-        raw: dict[int, dict] = {}
-        adopted: dict[int, dict] = {}
-        for drive_id in range(self.config.num_drives):
-            path = os.path.join(store.root, shard_name(drive_id))
-            if not os.path.exists(path):
-                continue
-            try:
-                data = read_shard(
-                    path, fingerprint=store.fingerprint, drive_id=drive_id
-                )
-            except ShardCorruptError:
-                continue  # recomputed; commit() will overwrite it
-            payload = dict(data.meta)
-            payload["records"] = data.records
-            raw[drive_id] = payload
-            adopted[drive_id] = {
-                "shard": shard_name(drive_id),
-                "records": len(data.records),
-                "head": data.head,
-            }
-        store._entries.update(adopted)
-        return raw
 
     def _restore_from_cache(
         self, routes: list[Route], drive_payloads: dict[int, dict], fingerprint: str
@@ -723,16 +611,10 @@ class Campaign:
         return hits
 
     def _commit_progress(self, drive_payloads: dict[int, dict]) -> None:
-        """Durably persist completed drives through the active layout."""
-        obs = self.obs
+        """Durably commit completed drives to the store (if any)."""
         if self._shard_store is not None:
-            with obs.span("campaign.checkpoint"):
+            with self.obs.span("campaign.checkpoint"):
                 self._shard_store.commit(drive_payloads, _records_to_jsonable)
-        elif self._checkpoint_path is not None:
-            with obs.span("campaign.checkpoint"):
-                _write_checkpoint(
-                    self._checkpoint_path, self._fingerprint, drive_payloads
-                )
 
     def _cache_put(self, drive_id: int, payload: dict) -> None:
         """Store one freshly computed drive in the cache (if configured)."""
@@ -742,37 +624,6 @@ class Campaign:
         meta = {k: v for k, v in payload.items() if k != "records"}
         self._cache.put(self._fingerprint, drive_id, records, meta)
         self.obs.counter("store.cache_writes").inc()
-
-    def _salvage_checkpoint(
-        self,
-        checkpoint_path: str | os.PathLike,
-        fingerprint: str,
-        exc: CheckpointCorruptError,
-    ) -> dict[int, dict]:
-        """Quarantine a corrupt checkpoint and resume from what survives.
-
-        The damaged file moves to ``<path>.corrupt`` (freeing the
-        original name for fresh checkpoints), every drive whose own
-        digest still verifies is restored, and the rest re-simulate —
-        a corrupted checkpoint costs the damaged drives, not the run.
-        """
-        obs = self.obs
-        corrupt_path = quarantine(checkpoint_path)
-        raw = salvage_drives(corrupt_path, fingerprint)
-        drive_payloads = {
-            drive_id: {
-                **drive,
-                "records": [record_from_dict(r) for r in drive["records"]],
-            }
-            for drive_id, drive in raw.items()
-        }
-        self._resilience.integrity_failures += 1
-        self._resilience.checkpoint_quarantined = corrupt_path
-        self._resilience.checkpoint_error = str(exc)[:500]
-        self._resilience.drives_salvaged = len(drive_payloads)
-        obs.counter("resilience.integrity_failures", artifact="checkpoint").inc()
-        obs.counter("resilience.drives_salvaged").inc(len(drive_payloads))
-        return drive_payloads
 
     def _note_drive_done(
         self, drive_id: int, route_name: str, elapsed: float, tests: int
@@ -1250,104 +1101,6 @@ def _payload_from_raw(raw: dict) -> dict:
 def _records_to_jsonable(records: list[TestRecord]) -> list[dict]:
     """Record objects -> JSON dicts (the shard store's converter)."""
     return [record_to_dict(r) for r in records]
-
-
-def _load_checkpoint(path: str | os.PathLike, fingerprint: str) -> dict[int, dict]:
-    """Completed drives from a checkpoint, keyed by drive id.
-
-    Validates in order of increasing trust: JSON well-formedness, schema
-    (``version``/``drives`` keys present), version compatibility,
-    whole-file digest, config fingerprint, then per-drive digests.
-    Corruption (truncation, tampering, bit rot) raises
-    :class:`~repro.resilience.CheckpointCorruptError` — the campaign
-    responds by quarantining the file and salvaging intact drives.  A
-    structurally sound checkpoint from the wrong version or config
-    raises plain ``ValueError``: that is operator error, not damage,
-    and salvage must not paper over it.
-    """
-    name = os.fspath(path)
-    with open(path) as handle:
-        text = handle.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint {name!r} is not valid JSON ({exc}); likely a "
-            "truncated or interrupted write — it will be quarantined to "
-            f"'{name}.corrupt' and intact drives salvaged"
-        ) from exc
-    if not isinstance(payload, dict) or not (
-        "version" in payload and "drives" in payload
-    ):
-        raise CheckpointCorruptError(
-            f"checkpoint {name!r} is missing required keys "
-            "('version', 'drives'); the file is damaged or is not a "
-            "campaign checkpoint"
-        )
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint {name!r} has version "
-            f"{payload.get('version')!r}, expected {CHECKPOINT_VERSION}"
-        )
-    if not verify_digest(payload):
-        raise CheckpointCorruptError(
-            f"checkpoint {name!r} fails its content digest; the file was "
-            "modified or damaged after it was written"
-        )
-    if payload.get("fingerprint") != fingerprint:
-        raise ValueError(
-            f"checkpoint {name!r} was written by a different "
-            f"campaign config (fingerprint {payload.get('fingerprint')!r} "
-            f"!= {fingerprint!r}); delete it or fix the config"
-        )
-    drives: dict[int, dict] = {}
-    for key, raw in payload["drives"].items():
-        if not isinstance(raw, dict) or not verify_digest(raw):
-            raise CheckpointCorruptError(
-                f"checkpoint {name!r}: drive {key} fails its digest"
-            )
-        drives[int(key)] = {
-            **{k: v for k, v in raw.items() if k != DIGEST_KEY},
-            "records": [record_from_dict(r) for r in raw["records"]],
-        }
-    return drives
-
-
-def _write_checkpoint(
-    path: str | os.PathLike,
-    fingerprint: str,
-    drive_payloads: dict[int, dict],
-) -> None:
-    """Durably and atomically persist completed drives.
-
-    Written through :func:`repro.store.commit.atomic_write_json` — tmp
-    file, fsync, atomic rename, directory fsync — so a crash (even a
-    power loss) at any boundary leaves the previous checkpoint intact
-    and no partial file under the real name; the tmp file is removed on
-    any failure.  Drives are emitted in drive-id order regardless of
-    completion order, so a checkpoint from a parallel run is
-    byte-identical to a serial one.  Each drive entry and the whole
-    payload embed content digests (see :mod:`repro.resilience.integrity`)
-    for load-time corruption detection and per-drive salvage.
-    """
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "fingerprint": fingerprint,
-        "drives": {
-            str(drive_id): embed_digest(
-                {
-                    **drive_payloads[drive_id],
-                    "records": [
-                        record_to_dict(r)
-                        for r in drive_payloads[drive_id]["records"]
-                    ],
-                }
-            )
-            for drive_id in sorted(drive_payloads)
-        },
-    }
-    embed_digest(payload)
-    atomic_write_json(path, payload, boundary="checkpoint")
 
 
 def run_campaign(

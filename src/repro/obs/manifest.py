@@ -57,10 +57,10 @@ class RunManifest:
     metrics: list[dict[str, Any]] = field(default_factory=list)
     #: Per-drive wall-clock rows: [{drive, route, duration_s, tests}, ...]
     drives: list[dict[str, Any]] = field(default_factory=list)
-    #: Artifact layout summary (shard names, record counts, head
-    #: digests) when the run used a sharded store — pure content, so it
-    #: survives into :meth:`deterministic_dict`.  Empty for monolithic
-    #: checkpoints.
+    #: Checkpoint store summary (shard names, record counts, head
+    #: digests) when the run checkpointed — pure content, so it
+    #: survives into :meth:`deterministic_dict`.  Empty without a
+    #: checkpoint.
     artifacts: dict[str, Any] = field(default_factory=dict)
     #: Free-form run facts (num_tests, distance_km, ...).
     extra: dict[str, Any] = field(default_factory=dict)

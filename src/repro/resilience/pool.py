@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import collections
 import multiprocessing
-import os
 import queue as queue_module
 import signal as signal_module
 import threading
@@ -215,11 +214,10 @@ class _Drives:
     """What both modes share: the task queue, the retry decision, and
     per-drive completion (checkpoint commit and cache write)."""
 
-    def __init__(self, campaign, routes, drive_payloads, checkpoint_path, pending):
+    def __init__(self, campaign, routes, drive_payloads, pending):
         self.campaign = campaign
         self.routes = routes
         self.drive_payloads = drive_payloads
-        self.checkpoint_path = checkpoint_path
         self.res: ResilienceConfig = campaign.config.resilience or _NO_RETRY
         self.tasks: collections.deque[_Task] = collections.deque(
             _Task(d, 0, 0.0) for d in pending
@@ -279,8 +277,7 @@ class _Drives:
                     route=self.routes[drive_id].name,
                 )
             campaign._cache_put(drive_id, payload)
-        if self.checkpoint_path is not None:
-            campaign._commit_progress(self.drive_payloads)
+        campaign._commit_progress(self.drive_payloads)
 
     def check_shutdown(self, shutdown) -> None:
         if shutdown is not None and shutdown.requested:
@@ -294,7 +291,6 @@ def run_drives(
     campaign,
     routes,
     drive_payloads: dict[int, dict],
-    checkpoint_path: str | os.PathLike | None,
     shutdown=None,
 ) -> list:
     """Run every not-yet-completed drive; the campaign's only executor.
@@ -310,7 +306,7 @@ def run_drives(
     pending = [d for d in range(len(routes)) if d not in drive_payloads]
     if not pending:
         return []
-    drives = _Drives(campaign, routes, drive_payloads, checkpoint_path, pending)
+    drives = _Drives(campaign, routes, drive_payloads, pending)
     if campaign.config.workers == 1:
         _run_in_process(drives, shutdown)
     else:

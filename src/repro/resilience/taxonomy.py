@@ -56,13 +56,6 @@ class ArtifactCorruptError(ValueError):
     validation: its embedded content digest does not match its body."""
 
 
-class CheckpointCorruptError(ArtifactCorruptError):
-    """A campaign checkpoint is truncated, tampered with, or
-    structurally invalid.  The campaign quarantines such a file to
-    ``<path>.corrupt``, salvages every drive whose own digest still
-    verifies, and resumes from the salvaged state."""
-
-
 #: Exception type names treated as transient.  Name-based so the set
 #: applies to failures serialized across a process boundary.
 TRANSIENT_ERROR_TYPES = frozenset(

@@ -1,6 +1,7 @@
 """The sharded drive store: a checkpoint that is a directory of shards.
 
-Layout of one store (``--artifact-format jsonl``)::
+A campaign run with a ``checkpoint_path`` checkpoints to a store at
+that path.  Layout of one store::
 
     <checkpoint_path>/
         MANIFEST.json        # the commit point: the committed shard set
@@ -19,8 +20,10 @@ resume).
 
 Recovery (:meth:`ShardStore.load`) trusts nothing:
 
-* a manifest that fails to parse or fails its digest is quarantined and
-  the store rebuilds from scratch;
+* a manifest that fails to parse, lacks its digest, or fails it is
+  quarantined and the store rebuilds from scratch (an unobserved run
+  first adopts the shards that still verify on their own, see
+  :meth:`ShardStore.adopt_orphans`);
 * every named shard is strictly re-verified (chain, canonical bytes,
   head digest, record count); damage quarantines *that shard only* and
   its drive recomputes — per-drive salvage, never all-or-nothing;
@@ -39,10 +42,16 @@ optimization — never a source of truth.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.resilience.integrity import embed_digest, quarantine, verify_digest
+from repro.resilience.integrity import (
+    DIGEST_KEY,
+    embed_digest,
+    quarantine,
+    verify_digest,
+)
 from repro.store.commit import atomic_write_bytes, atomic_write_json
 from repro.store.shard import (
     ShardCorruptError,
@@ -140,6 +149,10 @@ class ShardStore:
             return self._quarantine_manifest(recovery, f"not valid JSON ({exc})")
         if not isinstance(raw, dict) or not isinstance(raw.get("drives"), dict):
             return self._quarantine_manifest(recovery, "missing required keys")
+        # The store always writes a digest, so a manifest without one
+        # was edited: damage, like a wrong digest.
+        if raw.get(DIGEST_KEY) is None:
+            return self._quarantine_manifest(recovery, "has no content digest")
         if not verify_digest(raw):
             return self._quarantine_manifest(recovery, "fails its content digest")
         if raw.get("version") != STORE_VERSION:
@@ -186,6 +199,37 @@ class ShardStore:
         if metrics:
             payload["metrics"] = metrics
         return payload
+
+    def adopt_orphans(self, drive_ids: Iterable[int]) -> dict[int, dict[str, Any]]:
+        """Adopt the shards a lost manifest no longer names.
+
+        After :meth:`load` quarantined the manifest, every shard among
+        ``drive_ids`` that passes strict verification on its own (chain,
+        end line, header fingerprint and drive id) is restored and
+        becomes committed again on the next :meth:`commit`.  A shard
+        that fails is skipped: its drive recomputes and the commit
+        overwrites it.  Metric snapshots lived in the lost manifest, so
+        adopted payloads carry none.
+        """
+        payloads: dict[int, dict[str, Any]] = {}
+        for drive_id in drive_ids:
+            name = shard_name(drive_id)
+            path = os.path.join(self.root, name)
+            if not os.path.exists(path):
+                continue
+            try:
+                data = read_shard(path, fingerprint=self.fingerprint, drive_id=drive_id)
+            except ShardCorruptError:
+                continue
+            payload = dict(data.meta)
+            payload["records"] = data.records
+            payloads[drive_id] = payload
+            self._entries[drive_id] = {
+                "shard": name,
+                "records": len(data.records),
+                "head": data.head,
+            }
+        return payloads
 
     def _sweep_debris(self, recovery: StoreRecovery) -> None:
         """Salvage-and-remove leftover WAL and tmp files from a crash."""

@@ -321,9 +321,11 @@ def det004(ctx: FileContext) -> Iterable[Finding]:
 # -- DET005: CampaignConfig fingerprint fields are write-once ------------
 
 #: The exact field set hashed by ``CampaignConfig.fingerprint()``.
-#: ``workers`` and ``resilience`` are deliberately absent — they are
-#: execution knobs, excluded from the fingerprint so checkpoints
-#: interchange across worker counts and retry policies.
+#: Every other field (``workers``, ``resilience``, ``cache_dir``,
+#: ``fastpath``) is an execution knob, excluded from the fingerprint so
+#: checkpoints interchange across execution shapes.
+#: ``tests/test_detlint.py`` checks this set against ``fingerprint()``
+#: field by field.
 FINGERPRINT_FIELDS = frozenset({
     "seed", "num_interstate_drives", "num_city_drives", "num_ring_drives",
     "max_drive_seconds", "test_duration_s", "window_period_s", "cycle",

@@ -11,10 +11,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from repro.core.campaign import CampaignConfig
+from repro.faults import FaultSchedule, SatelliteOutage
+from repro.resilience import ResilienceConfig
 from repro.tools.detlint import Finding, run_paths
 from repro.tools.detlint.__main__ import main
 from repro.tools.detlint.engine import module_name_for, parse_suppressions
@@ -225,17 +229,43 @@ def test_det007_ignores_non_trace_loops(tmp_path):
     assert run_paths([str(path)]) == []
 
 
+#: A value differing from the default for every ``CampaignConfig``
+#: field; the drift guard below fails when a field is missing here.
+_ALTERNATE_CONFIG_VALUES = {
+    "seed": 1,
+    "num_interstate_drives": 2,
+    "num_city_drives": 2,
+    "num_ring_drives": 1,
+    "max_drive_seconds": 600.0,
+    "test_duration_s": 30.0,
+    "window_period_s": 90.0,
+    "cycle": CampaignConfig().cycle[:1],
+    "city_loop_segments": 7,
+    "fault_schedule": FaultSchedule((SatelliteOutage(start_s=0.0, end_s=5.0),)),
+    "workers": 2,
+    "resilience": ResilienceConfig(),
+    "cache_dir": "cache",
+    "fastpath": False,
+}
+
+
 def test_det005_ignores_non_fingerprint_fields(tmp_path):
-    # workers/resilience are execution knobs, deliberately outside the
-    # fingerprint — mutating them (repro.experiments.common does) is fine.
+    # Execution knobs sit deliberately outside the fingerprint —
+    # mutating them (repro.experiments.common does) is fine.
     path = tmp_path / "mod.py"
     path.write_text(
         "# detlint-module: repro.experiments.mod\n"
         "def f(config):\n    config.workers = 4\n"
     )
     assert run_paths([str(path)]) == []
-    assert "workers" not in FINGERPRINT_FIELDS
-    assert "resilience" not in FINGERPRINT_FIELDS
+    # Drift guard: a field is in FINGERPRINT_FIELDS exactly when
+    # changing its value changes fingerprint().
+    base = CampaignConfig()
+    assert set(_ALTERNATE_CONFIG_VALUES) == {f.name for f in fields(CampaignConfig)}
+    for name, value in _ALTERNATE_CONFIG_VALUES.items():
+        assert getattr(base, name) != value, name
+        changed = replace(base, **{name: value}).fingerprint() != base.fingerprint()
+        assert changed == (name in FINGERPRINT_FIELDS), name
 
 
 # -- INV101 project half -------------------------------------------------

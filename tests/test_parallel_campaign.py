@@ -2,7 +2,7 @@
 
 The contract under test: a campaign run with any ``workers`` count
 produces **byte-identical** artifacts to a serial run — dataset JSON,
-checkpoint JSON, campaign report, and the deterministic view of the run
+checkpoint store, campaign report, and the deterministic view of the run
 manifest — while failures stay isolated, obs metrics merge in drive
 order, and a run killed mid-flight resumes (at any worker count) without
 re-executing checkpointed drives.
@@ -26,6 +26,8 @@ from repro.obs import (
     merge_snapshots,
 )
 from repro.resilience import ResilienceConfig, RetryPolicy
+from repro.store import MANIFEST_NAME
+from tests.helpers import store_bytes
 
 #: Worker count for the golden equivalence test (CI pins this to 2).
 EQUIV_WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
@@ -73,7 +75,7 @@ def test_workers_excluded_from_fingerprint():
 
 def test_parallel_run_byte_identical_to_serial(tmp_path):
     """``CampaignConfig.small``-style drives at workers=1 vs workers=N:
-    checkpoint JSON, dataset JSON, report, and deterministic manifest
+    checkpoint store, dataset JSON, report, and deterministic manifest
     agree byte for byte."""
     artifacts = {}
     for label, workers in (("serial", 1), ("parallel", EQUIV_WORKERS)):
@@ -81,14 +83,14 @@ def test_parallel_run_byte_identical_to_serial(tmp_path):
         campaign = Campaign(
             _grid_config(workers=workers, faults=True), recorder=recorder
         )
-        ckpt = tmp_path / f"{label}.ckpt.json"
+        ckpt = tmp_path / f"{label}.ckpt"
         dataset = campaign.run(checkpoint_path=ckpt)
         data = tmp_path / f"{label}.dataset.json"
         dataset.save_json(data)
         report = campaign.report.to_dict()
         assert report.pop("checkpoint_path") == os.fspath(ckpt)
         artifacts[label] = {
-            "ckpt": ckpt.read_bytes(),
+            "ckpt": store_bytes(ckpt),
             "dataset": data.read_bytes(),
             "report": report,
             "manifest": campaign.manifest.deterministic_blob(),
@@ -193,7 +195,7 @@ def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path, resilience):
     the final dataset matches an uninterrupted run byte for byte.  The
     ``KeyboardInterrupt`` raised inside a worker aborts the parent run;
     a retrying policy must not mistake it for a dead worker."""
-    ckpt = tmp_path / "ckpt.json"
+    ckpt = tmp_path / "ckpt"
     ref, res = tmp_path / "ref.json", tmp_path / "res.json"
     Campaign(_grid_config(faults=True)).run().save_json(ref)
 
@@ -215,7 +217,8 @@ def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path, resilience):
     finally:
         FaultInjector.sample = original
 
-    completed = {int(k) for k in json.loads(ckpt.read_text())["drives"]}
+    manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
+    completed = {int(k) for k in manifest["drives"]}
     assert completed and 2 not in completed
 
     def poison(self, time_s, position, speed_kmh, area):

@@ -3,7 +3,7 @@
 The contract under test: the healing machinery is invisible in the
 artifacts.  A run that survives transient drive failures, a hung drive
 the watchdog kills and requeues, and a corrupted-then-salvaged
-checkpoint produces a dataset, checkpoint, report, and deterministic
+checkpoint store produces a dataset, store, report, and deterministic
 manifest byte-identical to a clean serial run — while every healing
 event is visible in the obs snapshot and ``CampaignReport.resilience``.
 
@@ -14,23 +14,18 @@ class level (the pool's fork workers inherit it), keyed off
 
 import json
 import os
+import shutil
 import signal
 import time
 
 import pytest
 
-from repro.core.campaign import (
-    Campaign,
-    CampaignConfig,
-    _load_checkpoint,
-    _write_checkpoint,
-)
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.dataset import DriveDataset
 from repro.obs import ObsRecorder
 from repro.resilience import (
     ArtifactCorruptError,
     CampaignAborted,
-    CheckpointCorruptError,
     DriveTimeout,
     FailureClass,
     ResilienceConfig,
@@ -42,10 +37,11 @@ from repro.resilience import (
     embed_digest,
     payload_digest,
     quarantine,
-    salvage_drives,
     verify_digest,
 )
 from repro.rng import RngStreams
+from repro.store import MANIFEST_NAME, ShardStore, shard_name
+from tests.helpers import store_bytes
 
 
 def _config(seed=11, drives=2, **overrides):
@@ -88,7 +84,6 @@ def test_failure_classification():
 def test_campaign_aborted_is_keyboard_interrupt():
     """Drive isolation catches Exception; an abort must escape it."""
     assert issubclass(CampaignAborted, KeyboardInterrupt)
-    assert issubclass(CheckpointCorruptError, ArtifactCorruptError)
     assert issubclass(ArtifactCorruptError, ValueError)
 
 
@@ -174,43 +169,6 @@ def test_quarantine_never_clobbers_earlier_evidence(tmp_path):
         assert open(target).read() == f"{{broken-{generation}"
 
 
-def test_salvage_recovers_only_digest_valid_drives(tmp_path):
-    good = embed_digest({"records": [{"r": 1}], "trace_minutes": 1.0})
-    tampered = embed_digest({"records": [{"r": 2}], "trace_minutes": 2.0})
-    tampered["trace_minutes"] = 99.0  # modified after digesting
-    undigested = {"records": [{"r": 3}]}
-    path = tmp_path / "c.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": 2,
-                "fingerprint": "fp",
-                "drives": {"0": good, "1": tampered, "2": undigested},
-            }
-        )
-    )
-    out = salvage_drives(path, "fp")
-    assert set(out) == {0}
-    assert out[0]["records"] == [{"r": 1}]
-    assert "digest" not in out[0]
-    # Wrong fingerprint: refuse everything.
-    assert salvage_drives(path, "other") == {}
-
-
-def test_salvage_reads_truncated_json(tmp_path):
-    drives = {
-        str(i): embed_digest({"records": [{"r": i}], "trace_minutes": float(i)})
-        for i in range(3)
-    }
-    text = json.dumps({"version": 2, "fingerprint": "fp", "drives": drives})
-    # Cut through the final drive entry: 0 and 1 stay complete.
-    cut = text.rindex('"2"') + 20
-    path = tmp_path / "trunc.json"
-    path.write_text(text[:cut])
-    out = salvage_drives(path, "fp")
-    assert set(out) == {0, 1}
-
-
 # -- checkpoint durability and validation (satellites a, b) --------------
 
 
@@ -227,67 +185,88 @@ def _dummy_payloads():
     }
 
 
+def _commit(root, fingerprint="fp", payloads=None):
+    ShardStore(root, fingerprint).commit(
+        payloads or _dummy_payloads(), lambda records: records
+    )
+
+
 def test_write_checkpoint_failure_leaves_no_tmp_and_keeps_previous(
     tmp_path, monkeypatch
 ):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    before = path.read_bytes()
+    root = tmp_path / "ck"
+    _commit(root)
+    before = store_bytes(root)
 
     def explode(fd):
         raise OSError(28, "No space left on device")
 
+    more = {**_dummy_payloads(), 1: {**_dummy_payloads()[0], "distance_km": 3.0}}
     monkeypatch.setattr("repro.store.commit.os.fsync", explode)
     with pytest.raises(OSError):
-        _write_checkpoint(path, "fp", _dummy_payloads())
-    assert path.read_bytes() == before  # previous checkpoint intact
-    assert list(tmp_path.iterdir()) == [path]  # no .tmp litter
+        _commit(root, payloads=more)
+    assert store_bytes(root) == before  # previous checkpoint intact, no .tmp litter
 
 
 def test_load_checkpoint_rejects_truncated_json(tmp_path):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    path.write_text(path.read_text()[:50])
-    with pytest.raises(CheckpointCorruptError, match="not valid JSON"):
-        _load_checkpoint(path, "fp")
+    root = tmp_path / "ck"
+    _commit(root)
+    manifest = root / MANIFEST_NAME
+    manifest.write_text(manifest.read_text()[:50])
+    loaded, recovery = ShardStore(root, "fp").load()
+    assert loaded == {}
+    assert recovery.manifest_quarantined == f"{manifest}.corrupt"
+    assert "not valid JSON" in recovery.manifest_error
 
 
 def test_load_checkpoint_rejects_missing_keys(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_text(json.dumps({"fingerprint": "fp"}))
-    with pytest.raises(CheckpointCorruptError, match="missing required keys"):
-        _load_checkpoint(path, "fp")
+    root = tmp_path / "ck"
+    root.mkdir()
+    (root / MANIFEST_NAME).write_text(json.dumps({"fingerprint": "fp"}))
+    loaded, recovery = ShardStore(root, "fp").load()
+    assert loaded == {}
+    assert "missing required keys" in recovery.manifest_error
 
 
 def test_load_checkpoint_rejects_tampering(tmp_path):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    payload = json.loads(path.read_text())
-    payload["drives"]["0"]["distance_km"] = 4000.0
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointCorruptError, match="digest"):
-        _load_checkpoint(path, "fp")
+    root = tmp_path / "ck"
+    _commit(root)
+    shard = root / shard_name(0)
+    text = shard.read_text()
+    assert '"distance_km":2.0' in text
+    shard.write_text(text.replace('"distance_km":2.0', '"distance_km":4000.0'))
+    loaded, recovery = ShardStore(root, "fp").load()
+    assert loaded == {}
+    assert recovery.shards_quarantined == [f"{shard}.corrupt"]
 
 
 def test_load_checkpoint_version_and_fingerprint_still_value_errors(tmp_path):
     """Operator error (old version, wrong config) must not be mistaken
-    for corruption — salvage would paper over it."""
-    path = tmp_path / "ck.json"
-    path.write_text(json.dumps({"version": 99, "fingerprint": "x", "drives": {}}))
+    for corruption — quarantine would paper over it."""
+    root = tmp_path / "ck"
+    root.mkdir()
+    manifest = root / MANIFEST_NAME
+    manifest.write_text(
+        json.dumps(embed_digest({"version": 99, "fingerprint": "x", "drives": {}}))
+    )
     with pytest.raises(ValueError, match="version") as excinfo:
-        _load_checkpoint(path, "x")
-    assert not isinstance(excinfo.value, CheckpointCorruptError)
+        ShardStore(root, "x").load()
+    assert not isinstance(excinfo.value, ArtifactCorruptError)
+    assert manifest.exists()  # not quarantined
 
-    _write_checkpoint(path, "fp-a", _dummy_payloads())
+    manifest.unlink()
+    _commit(root, "fp-a")
     with pytest.raises(ValueError, match="different") as excinfo:
-        _load_checkpoint(path, "fp-b")
-    assert not isinstance(excinfo.value, CheckpointCorruptError)
+        ShardStore(root, "fp-b").load()
+    assert not isinstance(excinfo.value, ArtifactCorruptError)
+    assert manifest.exists()
 
 
 def test_checkpoint_round_trip_verifies(tmp_path):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    loaded = _load_checkpoint(path, "fp")
+    root = tmp_path / "ck"
+    _commit(root)
+    loaded, recovery = ShardStore(root, "fp").load()
+    assert recovery.clean
     assert set(loaded) == {0}
     assert loaded[0]["distance_km"] == 2.0
     assert "digest" not in loaded[0]
@@ -448,7 +427,7 @@ def test_sigterm_checkpoints_then_aborts_and_resumes(tmp_path):
             os.kill(os.getpid(), signal.SIGTERM)
         return payload
 
-    ckpt = tmp_path / "ck.json"
+    ckpt = tmp_path / "ck"
     campaign = Campaign(_config())
     Campaign._simulate_drive = signalling
     try:
@@ -458,7 +437,8 @@ def test_sigterm_checkpoints_then_aborts_and_resumes(tmp_path):
         Campaign._simulate_drive = original
 
     # Drive 0 survived to the checkpoint; the handler was uninstalled.
-    assert set(_load_checkpoint(ckpt, _config().fingerprint())) == {0}
+    loaded, recovery = ShardStore(ckpt, _config().fingerprint()).load()
+    assert set(loaded) == {0} and recovery.clean
     assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
     resumed = Campaign(_config())
@@ -471,43 +451,44 @@ def test_sigterm_checkpoints_then_aborts_and_resumes(tmp_path):
 # -- corrupt checkpoint: quarantine + salvage + resume -------------------
 
 
+def _tear(path):
+    """Cut a file mid-way, as a torn write or bad disk would."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
 def test_corrupt_checkpoint_quarantined_salvaged_resumed(tmp_path):
-    # Instrumented on both sides: checkpoint entries carry per-drive
-    # metric snapshots, and salvage must restore them byte-for-byte.
+    # Unobserved on both sides: with the manifest lost, only an
+    # unobserved run adopts the shards that still verify on their own
+    # (an observed run recomputes them, because their metric snapshots
+    # lived in the lost manifest).
     config = _config(drives=3)
     ref = tmp_path / "ref.json"
-    ref_ckpt = tmp_path / "ref.ck.json"
-    Campaign(config, recorder=ObsRecorder()).run(
-        checkpoint_path=ref_ckpt
-    ).save_json(ref)
+    ref_ckpt = tmp_path / "ref.ck"
+    Campaign(config).run(checkpoint_path=ref_ckpt).save_json(ref)
 
-    # Truncate a copy mid-way through the last drive: drives 0-1 stay
-    # digest-valid, drive 2 is cut through.
-    ckpt = tmp_path / "ck.json"
-    text = ref_ckpt.read_text()
-    ckpt.write_text(text[: text.rindex('"2"') + 40])
+    # Damage a copy: the manifest no longer parses, and drive 2's shard
+    # is torn mid-way; the shards of drives 0-1 stay intact.
+    ckpt = tmp_path / "ck"
+    shutil.copytree(ref_ckpt, ckpt)
+    _tear(ckpt / MANIFEST_NAME)
+    _tear(ckpt / shard_name(2))
 
-    recorder = ObsRecorder()
-    campaign = Campaign(config, recorder=recorder)
+    campaign = Campaign(config)
     out = tmp_path / "healed.json"
     campaign.run(checkpoint_path=ckpt).save_json(out)
 
     assert out.read_bytes() == ref.read_bytes()
-    assert ckpt.read_bytes() == ref_ckpt.read_bytes()  # rewritten clean
-    assert (tmp_path / "ck.json.corrupt").exists()
+    healed = store_bytes(ckpt)
+    quarantined = f"{ckpt / MANIFEST_NAME}.corrupt"
+    assert healed.pop(MANIFEST_NAME + ".corrupt")  # evidence kept aside
+    assert healed == store_bytes(ref_ckpt)  # rewritten clean
     res = campaign.report.resilience
     assert res["integrity_failures"] == 1
     assert res["drives_salvaged"] == 2
-    assert res["checkpoint_quarantined"] == str(ckpt) + ".corrupt"
+    assert res["checkpoint_quarantined"] == quarantined
     assert "not valid JSON" in res["checkpoint_error"]
     assert campaign.report.drives_resumed == 2
-    assert (
-        recorder.registry.value(
-            "resilience.integrity_failures", artifact="checkpoint"
-        )
-        == 1
-    )
-    assert recorder.registry.value("resilience.drives_salvaged") == 2
 
 
 # -- the keystone: golden equivalence under adversity --------------------
@@ -516,24 +497,27 @@ def test_corrupt_checkpoint_quarantined_salvaged_resumed(tmp_path):
 @pytest.mark.parametrize("workers", [2])
 def test_adversity_run_byte_identical_to_clean(tmp_path, workers):
     """Transient worker failure + hung drive (watchdog-killed, requeued)
-    + corrupted-then-salvaged checkpoint, all in one parallel run —
-    dataset, checkpoint, report, and deterministic manifest match a
-    clean serial run byte for byte, and every healing event is visible
-    in the obs snapshot."""
+    + corrupted-then-salvaged checkpoint store, all in one parallel run —
+    dataset, store, report, and deterministic manifest match a clean
+    serial run byte for byte, and every healing event is visible in the
+    obs snapshot."""
     config = _config(drives=3)
 
     # Clean serial reference.
     ref_rec = ObsRecorder()
     reference = Campaign(config, recorder=ref_rec)
-    ref_ckpt = tmp_path / "ref.ck.json"
+    ref_ckpt = tmp_path / "ref.ck"
     ref_data = tmp_path / "ref.json"
     reference.run(checkpoint_path=ref_ckpt).save_json(ref_data)
     ref_report = reference.report.to_dict()
 
-    # Seed a corrupted checkpoint: drive 0 salvageable, the rest cut.
-    ckpt = tmp_path / "adv.ck.json"
-    text = ref_ckpt.read_text()
-    ckpt.write_text(text[: text.rindex('"1"') + 30])
+    # Seed a damaged store: drive 0 salvageable, drive 1's shard torn
+    # (quarantined), drive 2's shard lost.  The manifest survives, so
+    # drive 0 comes back with its metric snapshot in an observed run.
+    ckpt = tmp_path / "adv.ck"
+    shutil.copytree(ref_ckpt, ckpt)
+    _tear(ckpt / shard_name(1))
+    (ckpt / shard_name(2)).unlink()
 
     adv_config = _config(
         drives=3,
@@ -560,7 +544,9 @@ def test_adversity_run_byte_identical_to_clean(tmp_path, workers):
 
     # Artifacts: byte-identical to the clean run.
     assert adv_data.read_bytes() == ref_data.read_bytes()
-    assert ckpt.read_bytes() == ref_ckpt.read_bytes()
+    healed = store_bytes(ckpt)
+    assert healed.pop(shard_name(1) + ".corrupt")  # evidence kept aside
+    assert healed == store_bytes(ref_ckpt)
     assert (
         campaign.manifest.deterministic_blob()
         == reference.manifest.deterministic_blob()
@@ -583,3 +569,7 @@ def test_adversity_run_byte_identical_to_clean(tmp_path, workers):
     assert "resilience.watchdog_kills" in snapshot
     assert "resilience.drive_attempts" in snapshot
     assert adv_rec.registry.value("resilience.drives_salvaged") == 1
+    assert (
+        adv_rec.registry.value("resilience.integrity_failures", artifact="shard")
+        == 1
+    )

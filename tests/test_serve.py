@@ -138,7 +138,8 @@ def test_job_id_is_content_addressed():
 
 def test_spec_to_config_forces_sharded_layout(tmp_path):
     config = spec_to_config(SPEC, cache_dir=str(tmp_path))
-    assert config.artifact_format == "jsonl"
+    # The shard store is the only checkpoint layout: no knob to force.
+    assert not hasattr(config, "artifact_format")
     assert config.cache_dir == str(tmp_path)
     assert config.seed == 13
 

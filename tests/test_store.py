@@ -4,8 +4,8 @@ The contract under test: artifacts are pure functions of content.  A
 digest-chained shard detects *any* single-byte change (property-tested
 below); the shard store recovers per drive, never all-or-nothing; the
 content-addressed cache can only save work, never corrupt a dataset;
-and every layout — monolithic, sharded, cached, resumed, parallel —
-produces byte-identical datasets.
+and every path through it — fresh, cached, resumed, parallel — produces
+byte-identical datasets.
 """
 
 import json
@@ -14,9 +14,9 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.campaign import Campaign, CampaignConfig, _load_checkpoint
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.obs import ObsRecorder
-from repro.resilience import CheckpointCorruptError
+from repro.resilience import ArtifactCorruptError
 from repro.store import (
     DriveCache,
     MANIFEST_NAME,
@@ -29,6 +29,7 @@ from repro.store import (
     shard_name,
     verify_shard,
 )
+from tests.helpers import store_bytes
 
 
 def _config(seed=5, drives=2, **overrides):
@@ -42,14 +43,6 @@ def _config(seed=5, drives=2, **overrides):
     )
     base.update(overrides)
     return CampaignConfig(**base)
-
-
-def _dir_bytes(root) -> dict[str, bytes]:
-    out = {}
-    for name in sorted(os.listdir(root)):
-        with open(os.path.join(root, name), "rb") as handle:
-            out[name] = handle.read()
-    return out
 
 
 def _dataset_bytes(dataset, path) -> bytes:
@@ -166,21 +159,21 @@ def test_salvage_complete_shard(tmp_path):
     assert out.meta == _META
 
 
-def test_zero_byte_monolithic_checkpoint_detected(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_bytes(b"")
-    with pytest.raises(CheckpointCorruptError, match="not valid JSON"):
-        _load_checkpoint(path, "fp")
-
-
 def test_campaign_survives_zero_byte_checkpoint(tmp_path):
-    ck = tmp_path / "ck.json"
-    ck.write_bytes(b"")
-    campaign = Campaign(_config(drives=1))
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    (ck / MANIFEST_NAME).write_bytes(b"")
+    recorder = ObsRecorder()
+    campaign = Campaign(_config(drives=1), recorder=recorder)
     dataset = campaign.run(checkpoint_path=ck)
     assert campaign.report.resilience["integrity_failures"] == 1
+    assert (
+        recorder.registry.value("resilience.integrity_failures", artifact="checkpoint")
+        == 1
+    )
     assert campaign.report.resilience["drives_salvaged"] == 0
-    assert (tmp_path / "ck.json.corrupt").exists()
+    assert "not valid JSON" in campaign.report.resilience["checkpoint_error"]
+    assert (ck / (MANIFEST_NAME + ".corrupt")).read_bytes() == b""
     clean = Campaign(_config(drives=1)).run()
     assert _dataset_bytes(dataset, tmp_path / "a.json") == _dataset_bytes(
         clean, tmp_path / "b.json"
@@ -276,6 +269,26 @@ def test_store_quarantines_tampered_manifest(tmp_path):
     assert "content digest" in recovery.manifest_error
 
 
+def test_store_quarantines_manifest_without_digest(tmp_path):
+    """The store always writes a digest: stripping it is damage, not a
+    pass — otherwise any edit made together with the strip is served."""
+    root = tmp_path / "store"
+    payloads = _payloads()
+    payloads[0]["metrics"] = [{"name": "campaign.tests", "value": 3}]
+    ShardStore(root, "fp").commit(payloads, lambda r: r)
+    manifest = root / MANIFEST_NAME
+    raw = json.loads(manifest.read_text())
+    del raw["digest"]
+    raw["drives"]["0"]["metrics"] = [{"name": "campaign.tests", "value": 99}]
+    manifest.write_text(json.dumps(raw))
+
+    loaded, recovery = ShardStore(root, "fp").load()
+    assert loaded == {}
+    assert not recovery.clean
+    assert recovery.manifest_quarantined == str(manifest) + ".corrupt"
+    assert "no content digest" in recovery.manifest_error
+
+
 def test_store_sweeps_and_salvages_leftover_wal(tmp_path):
     root = tmp_path / "store"
     store = ShardStore(root, "fp")
@@ -298,13 +311,13 @@ def test_store_sweeps_and_salvages_leftover_wal(tmp_path):
 def test_jsonl_store_byte_identical_serial_vs_parallel(tmp_path):
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
-    ds_serial = Campaign(_config(artifact_format="jsonl")).run(
+    ds_serial = Campaign(_config()).run(
         checkpoint_path=serial_dir
     )
-    ds_parallel = Campaign(_config(artifact_format="jsonl", workers=2)).run(
+    ds_parallel = Campaign(_config(workers=2)).run(
         checkpoint_path=parallel_dir
     )
-    assert _dir_bytes(serial_dir) == _dir_bytes(parallel_dir)
+    assert store_bytes(serial_dir) == store_bytes(parallel_dir)
     assert _dataset_bytes(ds_serial, tmp_path / "a.json") == _dataset_bytes(
         ds_parallel, tmp_path / "b.json"
     )
@@ -312,7 +325,7 @@ def test_jsonl_store_byte_identical_serial_vs_parallel(tmp_path):
 
 def test_jsonl_resume_converges_byte_identically(tmp_path, monkeypatch):
     clean_dir = tmp_path / "clean"
-    ds_clean = Campaign(_config(artifact_format="jsonl")).run(
+    ds_clean = Campaign(_config()).run(
         checkpoint_path=clean_dir
     )
 
@@ -325,49 +338,37 @@ def test_jsonl_resume_converges_byte_identically(tmp_path, monkeypatch):
         return original(self, drive_id, route)
 
     monkeypatch.setattr(Campaign, "_simulate_drive", sabotage)
-    first = Campaign(_config(artifact_format="jsonl"))
+    first = Campaign(_config())
     first.run(checkpoint_path=broken_dir)
     assert first.report.drives_failed == 1
 
     monkeypatch.setattr(Campaign, "_simulate_drive", original)
-    second = Campaign(_config(artifact_format="jsonl"))
+    second = Campaign(_config())
     ds_resumed = second.run(checkpoint_path=broken_dir)
     assert second.report.drives_resumed == 1
-    assert _dir_bytes(clean_dir) == _dir_bytes(broken_dir)
+    assert store_bytes(clean_dir) == store_bytes(broken_dir)
     assert _dataset_bytes(ds_clean, tmp_path / "a.json") == _dataset_bytes(
         ds_resumed, tmp_path / "b.json"
     )
 
 
-def test_legacy_monolithic_checkpoint_migrates_to_store(tmp_path):
+def test_file_at_checkpoint_path_raises(tmp_path):
+    """A regular file where the store goes is operator error, not damage:
+    no importer, no quarantine — the file is left exactly as it was."""
     ck = tmp_path / "ck.json"
-    ds_legacy = Campaign(_config()).run(checkpoint_path=ck)
-    assert ck.is_file()
-
-    migrated = Campaign(_config(artifact_format="jsonl"))
-    ds_migrated = migrated.run(checkpoint_path=ck)
-    assert migrated.report.drives_resumed == 2  # nothing recomputed
-    assert ck.is_dir()
-    assert (ck / MANIFEST_NAME).exists()
-    assert (tmp_path / "ck.json.legacy.json").exists()
-    assert _dataset_bytes(ds_legacy, tmp_path / "a.json") == _dataset_bytes(
-        ds_migrated, tmp_path / "b.json"
-    )
-
-
-def test_store_directory_resumes_even_under_json_format(tmp_path):
-    ck = tmp_path / "ck"
-    Campaign(_config(artifact_format="jsonl")).run(checkpoint_path=ck)
-    # A store, once sharded, stays readable whatever the config says.
-    resumed = Campaign(_config(artifact_format="json"))
-    resumed.run(checkpoint_path=ck)
-    assert resumed.report.drives_resumed == 2
+    ck.write_text('{"version": 2, "fingerprint": "x", "drives": {}}')
+    with pytest.raises(ValueError, match="no longer read") as excinfo:
+        Campaign(_config(drives=1)).run(checkpoint_path=ck)
+    assert str(ck) in str(excinfo.value)
+    assert not isinstance(excinfo.value, ArtifactCorruptError)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+    assert ck.read_text() == '{"version": 2, "fingerprint": "x", "drives": {}}'
 
 
 def test_run_manifest_carries_shard_digests(tmp_path):
     ck = tmp_path / "ck"
     campaign = Campaign(
-        _config(drives=1, artifact_format="jsonl"), recorder=ObsRecorder()
+        _config(drives=1), recorder=ObsRecorder()
     )
     campaign.run(checkpoint_path=ck)
     artifacts = campaign.manifest.artifacts
